@@ -10,7 +10,7 @@ relaxed sequences and is computed exactly here by dynamic programming.
 from .bounds import (BoundReport, lebesgue_bound, optimize_bound,
                      quasi_lebesgue_bound, switching_constant)
 from .compact_set import (CompactSet, ValidationError, cantor_approx,
-                          from_spec, make_union, perfectness_gamma)
+                          from_spec, make_union)
 from .green import GreenBuildError, GreenModel, build_green_model, green_interval_analytic
 from .inequalities import (IneqReport, ineq1, ineq2, ineq2_tightness_scan,
                            ineq3, ineq4)
@@ -38,7 +38,7 @@ __all__ = [
     "green_interval_analytic", "ineq1", "ineq2", "ineq2_tightness_scan",
     "ineq3", "ineq4", "lebesgue_bound", "leja_sequence", "make_union",
     "naive_strategy", "optimal_switching", "optimize_bound",
-    "perfectness_gamma", "quasi_lebesgue_bound", "quasi_leja_sequence",
+    "quasi_lebesgue_bound", "quasi_leja_sequence",
     "separation_floor", "spread_bound", "spread_log_bound",
     "switching_constant", "two_track_strategy", "verify_quasi_leja",
     "worst_case_instance", "__version__",

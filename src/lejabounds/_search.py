@@ -8,7 +8,7 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 0.618...
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 0.382...
 
 
-def golden_max(f, lo: float, hi: float, iters: int = 80):
+def golden_max(f, lo: float, hi: float, iters: int):
     """Maximize f on [lo, hi] by golden-section search.
 
     Endpoints are always evaluated and compared against the interior result;
@@ -39,19 +39,16 @@ def golden_max(f, lo: float, hi: float, iters: int = 80):
                 d = a + _INVPHI * h
                 fd = f(d)
         cand.append((c, fc) if fc >= fd else (d, fd))
-    best_x, best_f = cand[0]
-    for x, fx in cand[1:]:
-        if fx > best_f or (fx == best_f and x < best_x):
-            best_x, best_f = x, fx
-    return best_x, best_f
+    return max(cand, key=lambda c: (c[1], -c[0]))
 
 
-def refine_grid_max(f, grid, idx: int, lo_cap: float = None, hi_cap: float = None,
-                    iters: int = 80):
-    """Refine a grid argmax by golden search over its neighbor bracket.
-
-    The bracket is [grid[idx-1], grid[idx+1]] clipped to the enclosing
-    component via lo_cap/hi_cap, so the refined point never leaves the set.
+def refine_grid_max(f, grid, vals, idx: int, lo_cap: float = None,
+                    hi_cap: float = None, iters: int = 80, tol: float = 0.0):
+    """Refine the grid argmax grid[idx], where vals = f(grid), by golden
+    search over [grid[idx-1], grid[idx+1]] clipped to lo_cap/hi_cap (so the
+    refined point never leaves the enclosing component). The refined point
+    replaces the grid point only when its value is larger by more than tol;
+    an exact tie goes to the smaller abscissa. Returns floats (x, f(x)).
     """
     lo = grid[idx - 1] if idx > 0 else grid[idx]
     hi = grid[idx + 1] if idx + 1 < len(grid) else grid[idx]
@@ -59,4 +56,8 @@ def refine_grid_max(f, grid, idx: int, lo_cap: float = None, hi_cap: float = Non
         lo = max(lo, lo_cap)
     if hi_cap is not None:
         hi = min(hi, hi_cap)
-    return golden_max(f, float(lo), float(hi), iters=iters)
+    x, fx = golden_max(f, float(lo), float(hi), iters)
+    xg, fg = float(grid[idx]), float(vals[idx])
+    if fx > fg + tol or (fx == fg + tol and x < xg):
+        return float(x), float(fx)
+    return xg, fg

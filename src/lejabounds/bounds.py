@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._search import golden_max
+from ._search import refine_grid_max
 from .compact_set import ValidationError
 from .green import GreenModel
 
@@ -58,11 +58,16 @@ def switching_constant(tol: float = 1e-10) -> float:
     return 0.5 * (lo + hi)
 
 
+def _exponent(tau: float, lam: float = None) -> float:
+    """Growth exponent 9/8 + 2 log(1/tau)/lam shared by the Lebesgue bound
+    and the switching spread bound; lam defaults to the switching constant."""
+    lam = switching_constant() if lam is None else float(lam)
+    return 9.0 / 8.0 + 2.0 * math.log(1.0 / tau) / lam
+
+
 def _log_bound(diam: float, G: float, n: int, delta: float, tau: float) -> float:
-    lam = switching_constant()
-    expo = 9.0 / 8.0 + 2.0 * math.log(1.0 / tau) / lam
     base = math.log(diam) - math.log(tau * delta) + n * G
-    return math.log(2.0) - 2.0 * math.log(tau) + math.log(n) + expo * base
+    return math.log(2.0) - 2.0 * math.log(tau) + math.log(n) + _exponent(tau) * base
 
 
 def _check_args(n: int, delta: float, tau: float) -> None:
@@ -153,14 +158,11 @@ def optimize_bound(model: GreenModel, n: int, tau: float = 1.0,
         else:
             grid = np.concatenate([grid, np.geomspace(grid[-1], grid[-1] * 10.0, 9)[1:]])
 
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    x_log, neg = golden_max(lambda s: -log_bound_at(math.exp(s)),
-                            math.log(lo), math.log(hi), iters=refine_iters)
+    log_grid = [math.log(d) for d in grid]
+    x_log, neg = refine_grid_max(lambda s: -log_bound_at(math.exp(s)),
+                                 log_grid, -logs, i, iters=refine_iters)
     best_log = -neg
     best_delta = math.exp(x_log)
-    if logs[i] < best_log:
-        best_log, best_delta = logs[i], float(grid[i])
 
     g_vals = np.array([model.neighborhood_max(float(d)) for d in grid])
     bounds = np.where(logs <= _LOG_HUGE, np.exp(np.minimum(logs, _LOG_HUGE)), np.inf)

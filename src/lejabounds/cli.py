@@ -5,7 +5,8 @@ deterministic for fixed arguments (seeded randomness, no timestamps), so
 reruns are byte identical and diffable. Files written via --out get a
 sidecar <out>.meta.json recording the effective parameters.
 
-Exit codes: 0 success, 1 a verification or bound check failed, 2 bad usage.
+Exit codes: 0 success, 1 a verification or bound check failed, 2 bad usage,
+3 the Green's function of the set could not be computed.
 """
 
 from __future__ import annotations
@@ -13,23 +14,22 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from .bounds import optimize_bound, switching_constant
+from .bounds import (lebesgue_bound, optimize_bound, quasi_lebesgue_bound,
+                     switching_constant)
 from .compact_set import CompactSet, ValidationError, cantor_approx, from_spec, make_union
-from .green import build_green_model, green_interval_analytic
+from .green import GreenBuildError, build_green_model, green_interval_analytic
 from .inequalities import (ineq1_log_margin, ineq2_log_margin,
                            ineq2_tightness_scan, ineq3_log_margin, ineq4)
 from .interp import InterpolationOperator
 from .leja import (DEFAULT_GRID_DENSITY, check_separation, leja_sequence,
                    quasi_leja_sequence, verify_quasi_leja)
 from .switching import (SwitchingInstance, chain_log_value, brute_force_log_min,
-                        naive_strategy, optimal_switching, spread_log_bound,
+                        check_spread_bound, naive_strategy, optimal_switching,
                         two_track_strategy, worst_case_instance)
 
 
@@ -152,7 +152,6 @@ def _cmd_bound(args) -> int:
         n = args.n
         deltas = np.geomspace(1e-4 * K.diam, K.diam, args.deltas)
         rows = ["delta,G,bound_tau1,bound_tau"]
-        from .bounds import lebesgue_bound, quasi_lebesgue_bound
         for d in deltas:
             g = model.neighborhood_max(float(d))
             b1 = lebesgue_bound(model, n, float(d))
@@ -193,20 +192,16 @@ def _random_instance(rng, q: int, tau: float, min_gap: float = 1e-3):
 
 
 def _itau_row(inst: SwitchingInstance) -> dict:
-    res = optimal_switching(inst)
+    spread = check_spread_bound(inst)
     nai = naive_strategy(inst)
     two = two_track_strategy(inst)
-    pts = np.asarray(inst.points)
-    gaps = np.abs(pts[1:] - pts[0])
-    d_max = float(gaps.max())
-    d_min = float(gaps[:-1].min()) if inst.q > 1 else d_max
     return {
         "q": inst.q, "tau": inst.tau,
-        "log_exact": res.log_value, "m": res.m,
-        "breakpoints": list(res.breakpoints),
+        "log_exact": spread.log_exact, "m": len(spread.breakpoints) - 1,
+        "breakpoints": list(spread.breakpoints),
         "log_naive": nai.log_value,
         "log_two_track": two.log_value,
-        "log_spread_bound": spread_log_bound(d_max, d_min, inst.tau),
+        "log_spread_bound": spread.log_bound,
     }
 
 
@@ -354,18 +349,10 @@ def _verify_checks(args):
 
 
 def _cmd_verify(args) -> int:
-    checks = _verify_checks(args)
-    threads = int(os.environ.get("LEJABOUNDS_THREADS", "1"))
-    results = []
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            futs = [(name, ex.submit(fn)) for name, fn in checks]
-            results = [(name, *f.result()) for name, f in futs]
-    else:
-        results = [(name, *fn()) for name, fn in checks]
     failed = 0
     out_lines = []
-    for name, ok, detail in results:
+    for name, fn in _verify_checks(args):
+        ok, detail = fn()
         failed += 0 if ok else 1
         out_lines.append("[verify] %s: %s  (%s)" % (name, "OK" if ok else "FAIL", detail))
     text = "\n".join(out_lines) + "\n"
@@ -478,6 +465,9 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
+    except GreenBuildError as exc:
+        sys.stderr.write("error: %s\n" % exc)
+        return 3
 
 
 def entry() -> None:

@@ -88,6 +88,14 @@ class CompactSet:
     def contains(self, x: float, tol: float = 0.0) -> bool:
         return bool(self.dist_to(float(x)) <= tol)
 
+    def component_of(self, x: float) -> tuple[float, float]:
+        """The component [lo, hi] containing real x; the hull [self.lo,
+        self.hi] when x lies in no component."""
+        for lo, hi in self.intervals:
+            if lo <= x <= hi:
+                return lo, hi
+        return self.lo, self.hi
+
     def grid(self, density: float, min_per_component: int = 2) -> np.ndarray:
         """Sorted sample grid with spacing <= 1/density on every component.
 
@@ -182,40 +190,3 @@ def from_spec(obj: dict) -> CompactSet:
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"bad cantor spec: {exc}") from exc
     raise ValidationError("set spec needs an 'intervals' or 'cantor' key")
-
-
-def _annulus_reach(K: CompactSet, x: float, r: float) -> float:
-    """Largest distance from x to a point of K within distance r (0 if none)."""
-    best = 0.0
-    for lo, hi in K.intervals:
-        near = max(lo - x, x - hi, 0.0)
-        if near <= r:
-            far = max(abs(x - lo), abs(x - hi))
-            best = max(best, min(far, r))
-    return best
-
-
-def perfectness_gamma(K: CompactSet, x_samples: int = 64, r_samples: int = 64) -> float:
-    """Sampled estimate of the uniform-perfectness constant of K.
-
-    For gamma to qualify, every annulus {gamma*r <= |x - t| <= r} with x in K
-    and r in (0, diam K) must meet K. Over a finite sample of (x, r) pairs the
-    largest such gamma is min over samples of reach(x, r) / r, where reach is
-    the farthest point of K from x within distance r. Returns 0 if some
-    sampled annulus cannot meet K at any positive gamma.
-    """
-    total = K.measure
-    xs = []
-    for lo, hi in K.intervals:
-        n = max(2, int(round(x_samples * (hi - lo) / total)))
-        xs.append(np.linspace(lo, hi, n))
-    xs = np.concatenate(xs)
-    rs = np.geomspace(K.diam * 1e-5, K.diam * (1 - 1e-9), r_samples)
-    gamma = 1.0
-    for x in xs:
-        for r in rs:
-            reach = _annulus_reach(K, float(x), float(r))
-            if reach <= 0.0:
-                return 0.0
-            gamma = min(gamma, reach / r)
-    return gamma

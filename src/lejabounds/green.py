@@ -85,9 +85,7 @@ class GreenModel:
         return math.exp(-self.robin_constant)
 
     def _h(self, t):
-        lo, hi = self.set.lo, self.set.hi
-        xi = (2.0 * np.asarray(t, dtype=float) - lo - hi) / (hi - lo)
-        return _cheb.chebval(xi, self.density_coeffs)
+        return _cheb.chebval(_hull_coord(self.set, t), self.density_coeffs)
 
     def density(self, t):
         """Equilibrium density |h(t)| / (pi * sqrt(prod |t-a_j||t-b_j|)).
@@ -187,73 +185,66 @@ class GreenModel:
         return best
 
 
+def _hull_coord(K: CompactSet, t):
+    """Affine image of t in [-1, 1] coordinates of the hull of K."""
+    return (2.0 * np.asarray(t, dtype=float) - K.lo - K.hi) / (K.hi - K.lo)
+
+
 def _quad_angles(order: int) -> np.ndarray:
     return (np.arange(order) + 0.5) * math.pi / order
 
 
-def _solve_at_order(K: CompactSet, order: int):
-    """One equilibrium solve at a fixed per-interval quadrature order."""
+def _nodes(lo: float, hi: float, ends, ct: np.ndarray):
+    """Cosine nodes t on the interval or gap [lo, hi] and their endpoint
+    weights sqrt(prod |t - e|) over the endpoints e of K other than lo, hi."""
+    t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * ct
+    other = np.ones_like(t)
+    for e in ends:
+        if e != lo and e != hi:
+            other *= np.abs(t - e)
+    return t, np.sqrt(other)
+
+
+def _system(K: CompactSet, order: int):
+    """Equilibrium system at one per-interval quadrature order: the matrix
+    on the Chebyshev coefficients of h (one unscaled row per gap, whose right
+    side is 0, then the mass row), the sign of h on each component, and
+    each component's nodes and weights."""
     iv = K.intervals
     N = len(iv)
-    ends = np.array([e for pair in iv for e in pair])
-    theta = _quad_angles(order)
-    ct = np.cos(theta)
-    hull_lo, hull_hi = K.lo, K.hi
-
-    def cheb_basis(t):
-        xi = (2.0 * t - hull_lo - hull_hi) / (hull_hi - hull_lo)
-        return _cheb.chebvander(xi, N - 1)  # (len(t), N)
-
+    ends = [e for pair in iv for e in pair]
+    ct = np.cos(_quad_angles(order))
     # sign of h on component j: + on the rightmost, alternating leftward
     signs = np.array([(-1.0) ** (N - 1 - j) for j in range(N)])
 
-    rows = []
-    rhs = []
-    # gap conditions
-    for g in range(N - 1):
-        glo, ghi = iv[g][1], iv[g + 1][0]
-        m, w = 0.5 * (glo + ghi), 0.5 * (ghi - glo)
-        t = m + w * ct
-        other = np.ones_like(t)
-        for e in ends:
-            if e != glo and e != ghi:
-                other *= np.abs(t - e)
-        B = cheb_basis(t)
-        rows.append(B.T @ (1.0 / np.sqrt(other)))
-        rhs.append(0.0)
-    # total mass = 1
-    mass_row = np.zeros(N)
-    comp_nodes = []
-    comp_other = []
-    for j, (lo, hi) in enumerate(iv):
-        m, w = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        t = m + w * ct
-        other = np.ones_like(t)
-        for e in ends:
-            if e != lo and e != hi:
-                other *= np.abs(t - e)
-        other = np.sqrt(other)
-        comp_nodes.append(t)
-        comp_other.append(other)
-        B = cheb_basis(t)
-        mass_row += signs[j] * (B.T @ (1.0 / other)) / order  # (1/pi)*(pi/order)
-    rows.append(mass_row)
-    rhs.append(1.0)
+    def weighted_basis_sum(t, root):
+        return _cheb.chebvander(_hull_coord(K, t), N - 1).T @ (1.0 / root)
 
-    A = np.vstack(rows)
+    rows = [weighted_basis_sum(*_nodes(glo, ghi, ends, ct))
+            for (_, glo), (ghi, _) in zip(iv, iv[1:])]
+    comps = [_nodes(lo, hi, ends, ct) for lo, hi in iv]
+    mass_row = np.zeros(N)
+    for sign, comp in zip(signs, comps):
+        mass_row += sign * weighted_basis_sum(*comp) / order  # (1/pi)*(pi/order)
+    return np.vstack(rows + [mass_row]), signs, comps
+
+
+def _solve(K: CompactSet, order: int, system):
+    """One equilibrium solve of the system built by _system(K, order)."""
+    A, signs, comps = system
+    rhs = np.zeros(len(A))
+    rhs[-1] = 1.0
     try:
-        coef = np.linalg.solve(A, np.array(rhs))
+        coef = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError as exc:
         raise GreenBuildError(f"equilibrium system singular at order {order}") from exc
 
     # transplanted densities and their Chebyshev coefficients
-    cosk = np.cos(np.outer(np.arange(order), theta))  # (order, order)
+    cosk = np.cos(np.outer(np.arange(order), _quad_angles(order)))  # (order, order)
     cheb_coeffs = []
     vmin = np.inf
-    for j in range(N):
-        hv = _cheb.chebval(
-            (2.0 * comp_nodes[j] - hull_lo - hull_hi) / (hull_hi - hull_lo), coef)
-        v = signs[j] * hv / (math.pi * comp_other[j])
+    for j, (t, root) in enumerate(comps):
+        v = signs[j] * _cheb.chebval(_hull_coord(K, t), coef) / (math.pi * root)
         vmin = min(vmin, float(v.min()))
         cheb_coeffs.append((math.pi / order) * (cosk @ v))
     return coef, signs, cheb_coeffs, vmin
@@ -267,33 +258,6 @@ def _tail_size(cheb_coeffs) -> float:
     return worst
 
 
-def _residuals(K: CompactSet, coef, signs, order: int):
-    """Mass and gap residuals of a solved h, measured at a finer quadrature."""
-    model_stub = GreenModel(K, order, coef, 0.0, signs, [])
-    theta = _quad_angles(2 * order)
-    ct = np.cos(theta)
-    ends = np.array([e for pair in K.intervals for e in pair])
-    mass = 0.0
-    for j, (lo, hi) in enumerate(K.intervals):
-        t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * ct
-        other = np.ones_like(t)
-        for e in ends:
-            if e != lo and e != hi:
-                other *= np.abs(t - e)
-        mass += signs[j] * np.sum(model_stub._h(t) / np.sqrt(other)) / (2 * order)
-    gap_res = 0.0
-    for g in range(len(K.intervals) - 1):
-        glo, ghi = K.intervals[g][1], K.intervals[g + 1][0]
-        t = 0.5 * (glo + ghi) + 0.5 * (ghi - glo) * ct
-        other = np.ones_like(t)
-        for e in ends:
-            if e != glo and e != ghi:
-                other *= np.abs(t - e)
-        gap_res = max(gap_res, abs(float(
-            np.sum(model_stub._h(t) / np.sqrt(other)) * math.pi / (2 * order))))
-    return abs(mass - 1.0), gap_res
-
-
 def build_green_model(K: CompactSet, quadrature_order: int = 256) -> GreenModel:
     """Solve the equilibrium problem for K, doubling the quadrature order
     until the density's Chebyshev tail and the independently remeasured
@@ -303,17 +267,22 @@ def build_green_model(K: CompactSet, quadrature_order: int = 256) -> GreenModel:
         raise ValidationError("quadrature_order must be at least 16")
     order = int(quadrature_order)
     last_err = None
+    system = _system(K, order)
     while True:
-        coef, signs, cheb_coeffs, vmin = _solve_at_order(K, order)
+        coef, signs, cheb_coeffs, vmin = _solve(K, order, system)
         tail = _tail_size(cheb_coeffs)
-        mass_err, gap_err = _residuals(K, coef, signs, order)
+        # residuals at twice the order; on doubling, that system is the next one
+        system = _system(K, 2 * order)
+        res = system[0] @ coef
+        mass_err = abs(float(res[-1]) - 1.0)
+        gap_err = float(np.max(np.abs(res[:-1]), initial=0.0)) * math.pi / (2 * order)
         ok = tail <= _COEF_TAIL_TOL and mass_err <= 1e-10 and gap_err <= _RESIDUAL_TOL
-        if ok or order >= _MAX_ORDER:
-            if not ok:
-                raise GreenBuildError(
-                    f"no convergence at order cap {order}: tail={tail:.2e} "
-                    f"mass_err={mass_err:.2e} gap_err={gap_err:.2e}")
+        if ok:
             break
+        if order >= _MAX_ORDER:
+            raise GreenBuildError(
+                f"no convergence at order cap {order}: tail={tail:.2e} "
+                f"mass_err={mass_err:.2e} gap_err={gap_err:.2e}")
         order *= 2
         last_err = (tail, mass_err, gap_err)
 
@@ -337,7 +306,7 @@ def build_green_model(K: CompactSet, quadrature_order: int = 256) -> GreenModel:
         raise GreenBuildError(f"equilibrium density went negative: {vmin:.2e}")
     model.diagnostics = {
         "order": order,
-        "coeff_tail": _tail_size(cheb_coeffs),
+        "coeff_tail": tail,
         "mass_residual": mass_err,
         "gap_residual": gap_err,
         "boundary_residual": bres,

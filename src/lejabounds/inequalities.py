@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import golden_max
+from ._search import refine_grid_max
 from .bounds import switching_constant
 from .compact_set import ValidationError
 
@@ -147,10 +147,5 @@ def ineq2_tightness_scan(b_lo: float = 1.0, b_hi: float = 1e3,
 
     bs = np.geomspace(max(b_lo, 1e-6), b_hi, grid)
     vals = f(bs)
-    i = int(np.argmax(vals))
-    lo = bs[max(i - 1, 0)]
-    hi = bs[min(i + 1, len(bs) - 1)]
-    xb, vb = golden_max(f, float(lo), float(hi))
-    if vals[i] > vb:
-        xb, vb = float(bs[i]), float(vals[i])
+    xb, vb = refine_grid_max(f, bs, vals, int(np.argmax(vals)))
     return TightnessScan(best_b=xb, best_value=vb)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import golden_max
+from ._search import refine_grid_max
 from .compact_set import CompactSet, ValidationError
 
 
@@ -135,15 +135,10 @@ class InterpolationOperator:
         grid = np.unique(np.concatenate(pieces))
         vals = self.lebesgue_function(grid)
         i = int(np.argmax(vals))
-        comp = next(((lo, hi) for lo, hi in K.intervals
-                     if lo <= grid[i] <= hi), (K.lo, K.hi))
-        lo_b = max(grid[i - 1] if i > 0 else grid[i], comp[0])
-        hi_b = min(grid[i + 1] if i + 1 < len(grid) else grid[i], comp[1])
-        x_star, lam = golden_max(lambda t: self.lebesgue_function(t), lo_b, hi_b, iters=60)
-        if vals[i] > lam or (vals[i] == lam and grid[i] < x_star):
-            x_star, lam = float(grid[i]), float(vals[i])
+        x_star, lam = refine_grid_max(self.lebesgue_function, grid, vals, i,
+                                      *K.component_of(grid[i]), iters=60)
         profile = (grid, vals) if keep_profile else None
-        return LebesgueReport(n=self.n, lambda_n=float(lam), argmax_x=float(x_star),
+        return LebesgueReport(n=self.n, lambda_n=lam, argmax_x=x_star,
                               profile=profile)
 
 

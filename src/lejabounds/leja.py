@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import golden_max
+from ._search import refine_grid_max
 from .compact_set import CompactSet, ValidationError
 from .green import GreenModel
 
@@ -92,31 +92,19 @@ def _resolve_x0(K: CompactSet, x0) -> tuple[float, str]:
     return x0, f"given:{x0!r}"
 
 
-def _component_of(K: CompactSet, x: float):
-    for lo, hi in K.intervals:
-        if lo <= x <= hi:
-            return lo, hi
-    return K.lo, K.hi
-
-
 def _refine_step(K: CompactSet, grid, cum, pts_arr, idx: int):
     """Golden-refine the grid argmax of the running log product."""
-    comp = _component_of(K, float(grid[idx]))
-    lo = max(grid[idx - 1] if idx > 0 else grid[idx], comp[0])
-    hi = min(grid[idx + 1] if idx + 1 < len(grid) else grid[idx], comp[1])
 
     def obj(x: float) -> float:
         with np.errstate(divide="ignore"):
             return float(np.sum(np.log(np.abs(x - pts_arr))))
 
-    x_ref, f_ref = golden_max(obj, float(lo), float(hi), iters=70)
     # accept the refined point only on a clear improvement: near-flat peaks
     # evaluate with O(eps) noise per term and a noise-level "win" off the
     # grid would break deterministic tie handling on symmetric sets
     tol = 1e-12 * (1.0 + abs(float(cum[idx])))
-    if f_ref <= cum[idx] + tol:
-        return float(grid[idx]), float(cum[idx])
-    return float(x_ref), float(f_ref)
+    return refine_grid_max(obj, grid, cum, idx, *K.component_of(float(grid[idx])),
+                           iters=70, tol=tol)
 
 
 def _generate(K: CompactSet, n: int, tau: float, rng_seed: int,

@@ -39,10 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import switching_constant
+from .bounds import _LOG_HUGE, _exponent, switching_constant
 from .compact_set import ValidationError
-
-_LOG_HUGE = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -356,9 +354,8 @@ def spread_log_bound(d_max: float, d_min: float, tau: float, lam: float = None) 
         raise ValidationError("need 0 < d_min <= d_max")
     if not 0.0 < tau <= 1.0:
         raise ValidationError("tau must lie in (0, 1]")
-    lam = switching_constant() if lam is None else float(lam)
-    expo = 9.0 / 8.0 + 2.0 * math.log(1.0 / tau) / lam
-    return math.log(2.0) - 2.0 * math.log(tau) + expo * (math.log(d_max) - math.log(d_min))
+    return (math.log(2.0) - 2.0 * math.log(tau)
+            + _exponent(tau, lam) * (math.log(d_max) - math.log(d_min)))
 
 
 def spread_bound(d_max: float, d_min: float, tau: float, lam: float = None) -> float:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from lejabounds import SwitchingInstance, optimal_switching
+from lejabounds import GreenBuildError, SwitchingInstance, optimal_switching
 from lejabounds.cli import main
 
 
@@ -185,3 +185,14 @@ def test_verify_audit_injection_fails(capsys):
     code, out, _ = run(capsys, "verify", "--tau", "0.7", "--audit-tau", "0.99")
     assert code == 1
     assert any("sequence-audit: FAIL" in l for l in out.splitlines())
+
+
+def test_green_build_failure_exit_code(monkeypatch, capsys):
+    def fail(K, *args, **kwargs):
+        raise GreenBuildError("no convergence at order cap 4096")
+
+    monkeypatch.setattr("lejabounds.cli.build_green_model", fail)
+    code, out, err = run(capsys, "bound", "--n", "3")
+    assert code == 3
+    assert out == ""
+    assert err == "error: no convergence at order cap 4096\n"

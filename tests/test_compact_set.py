@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lejabounds import CompactSet, ValidationError, cantor_approx, from_spec, make_union
-from lejabounds.compact_set import perfectness_gamma
 
 
 def test_basic_properties():
@@ -84,17 +83,13 @@ def test_from_spec_roundtrip():
     assert K2.n_components == 4
 
 
-def test_perfectness_gamma_interval():
-    K = make_union([(-1.0, 1.0)])
-    gam = perfectness_gamma(K)
-    # an interval has reach >= r/2 at every scale up to the diameter
-    assert 0.4 <= gam <= 1.0
-
-
-def test_perfectness_gamma_union():
+def test_component_of():
     K = make_union([(0.0, 1.0), (2.0, 3.0)])
-    gam = perfectness_gamma(K)
-    assert gam > 0.1
+    assert K.component_of(0.5) == (0.0, 1.0)
+    assert K.component_of(2.0) == (2.0, 3.0)
+    assert K.component_of(3.0) == (2.0, 3.0)
+    # a point in no component falls back to the hull
+    assert K.component_of(1.5) == (0.0, 3.0)
 
 
 @given(st.lists(st.tuples(st.floats(-50, 50), st.floats(-50, 50)),
