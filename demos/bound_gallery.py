@@ -19,11 +19,10 @@ seq = leja_sequence(K, 64)
 
 print("exact greedy sequence on", K.intervals)
 print("   n    Lambda_n     bound(best delta)   best delta    ratio")
-for n in [4, 8, 16, 32, 64]:
-    lam = InterpolationOperator.from_sequence(seq, n).lebesgue_constant(K).lambda_n
-    rep = optimize_bound(model, n)
+for rep in optimize_bound(model, [4, 8, 16, 32, 64]):
+    lam = InterpolationOperator.from_sequence(seq, rep.n).lebesgue_constant(K).lambda_n
     print("%4d   %9.4f   %16.6g   %10.4g   %8.3g"
-          % (n, lam, rep.best_bound, rep.best_delta, rep.best_bound / lam))
+          % (rep.n, lam, rep.best_bound, rep.best_delta, rep.best_bound / lam))
 
 # a fixed delta certifies too, just worse; sweep it for one degree
 n = 16
@@ -47,7 +46,7 @@ for tau in [0.95, 0.8, 0.6]:
 # read off as the slope between successive doublings
 print()
 ns = np.array([8, 16, 32, 64, 128])
-best = np.array([optimize_bound(model, int(n)).best_bound for n in ns])
+best = np.array([rep.best_bound for rep in optimize_bound(model, ns.tolist())])
 print("minimized bound at n =", [int(n) for n in ns])
 with np.printoptions(precision=3):
     print("  values:", best)

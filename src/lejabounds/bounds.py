@@ -12,9 +12,10 @@ constant (the positive root of exp(exp(lam))*(exp(lam)-1) = 1). At tau = 1
 the quasi form reduces to the plain form exactly; both are evaluated through
 one shared log-space core so the reduction is bitwise.
 
-optimize_bound scans a log grid in delta (widening it when the minimum lands
-on an edge) and golden-refines the best cell; every evaluated delta yields a
-valid bound, so the minimum over the scan is itself a valid bound.
+Since any delta gives a valid bound and G(delta) depends on neither n nor
+tau, optimize_bound evaluates G once on one shared log grid of deltas and
+takes, for every requested n, the minimum over that table (widening the
+grid by a decade on a side where some n has its minimum on the edge).
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._search import refine_grid_max
 from .compact_set import ValidationError
 from .green import GreenModel
 
 _LOG_HUGE = math.log(np.finfo(float).max)
+_WIDEN_RETRIES = 3
 
 
 @lru_cache(maxsize=None)
@@ -79,6 +80,13 @@ def _check_args(n: int, delta: float, tau: float) -> None:
         raise ValidationError("tau must lie in (0, 1]")
 
 
+def _bound(diam: float, G: float, n: int, delta: float, tau: float) -> float:
+    """Bound value from an already computed G(delta); +inf past a double."""
+    _check_args(n, delta, tau)
+    lv = _log_bound(diam, G, n, delta, tau)
+    return math.exp(lv) if lv <= _LOG_HUGE else math.inf
+
+
 def lebesgue_bound(model: GreenModel, n: int, delta: float) -> float:
     """Upper bound 2n (diam/delta * e^{n G(delta)})^{9/8} for exact Leja
     nodes; +inf when the value overflows a double."""
@@ -88,16 +96,13 @@ def lebesgue_bound(model: GreenModel, n: int, delta: float) -> float:
 def quasi_lebesgue_bound(model: GreenModel, n: int, tau: float, delta: float) -> float:
     """Upper bound for tau-quasi-Leja nodes; tau = 1 reproduces
     lebesgue_bound bitwise."""
-    _check_args(n, delta, tau)
-    G = model.neighborhood_max(delta)
-    lv = _log_bound(model.set.diam, G, n, delta, tau)
-    return math.exp(lv) if lv <= _LOG_HUGE else math.inf
+    return _bound(model.set.diam, model.neighborhood_max(delta), n, delta, tau)
 
 
 @dataclass
 class BoundReport:
-    """Delta scan for one n: valid bound values over the grid plus the
-    refined minimizer. best_bound <= min(bound_values) always."""
+    """Delta table for one n: the (valid) bound at every delta of the grid,
+    and its minimum best_bound = min(bound_values), attained at best_delta."""
 
     n: int
     tau: float
@@ -125,47 +130,47 @@ class BoundReport:
         }
 
 
-def optimize_bound(model: GreenModel, n: int, tau: float = 1.0,
-                   delta_grid=None, grid_points: int = 64,
-                   widen_retries: int = 3, refine_iters: int = 20) -> BoundReport:
-    """Minimize the bound over delta.
+def optimize_bound(model: GreenModel, n, tau: float = 1.0,
+                   delta_grid=None, grid_points: int = 64):
+    """Minimize the bound over a table of deltas, for one n or several.
 
-    Default grid: grid_points log-spaced deltas on [1e-4 * diam, diam].
-    If the discrete argmin lands on a grid edge the grid is widened a decade
-    on that side (up to widen_retries times); the best cell is then golden
-    refined in log delta.
+    n is an int (returns one BoundReport) or a sequence of ints (returns a
+    list of reports, one per n, all on the same grid). G is evaluated once
+    per delta of the table. Default grid: grid_points log-spaced deltas on
+    [1e-4 * diam, diam]; while some n has its minimum on an edge of it, that
+    side is extended by a decade at the grid's log spacing (at most
+    _WIDEN_RETRIES times). An explicit delta_grid is used as given.
     """
-    _check_args(n, 1.0, tau)
+    single = np.ndim(n) == 0
+    ns = [n] if single else list(n)
+    _check_args(min(ns, default=0), 1.0, tau)
     diam = model.set.diam
-    if delta_grid is None:
-        grid = np.geomspace(1e-4 * diam, diam, grid_points)
-    else:
-        grid = np.asarray(delta_grid, dtype=float)
-        if grid.ndim != 1 or len(grid) < 2 or np.any(grid <= 0):
-            raise ValidationError("delta_grid must be positive and 1-d")
+    given = delta_grid is not None
+    grid = np.asarray(delta_grid if given else np.geomspace(1e-4 * diam, diam, grid_points),
+                      dtype=float)
+    if grid.ndim != 1 or len(grid) < 2 or np.any(grid <= 0):
+        raise ValidationError("delta grid must be 1-d with at least 2 positive deltas")
 
-    def log_bound_at(delta: float) -> float:
-        G = model.neighborhood_max(float(delta))
-        return _log_bound(diam, G, n, float(delta), tau)
+    def G(deltas):
+        return np.array([model.neighborhood_max(float(d)) for d in deltas])
 
-    for _ in range(widen_retries + 1):
-        logs = np.array([log_bound_at(d) for d in grid])
-        i = int(np.argmin(logs))
-        if 0 < i < len(grid) - 1 or delta_grid is not None:
+    g_vals = G(grid)
+    for attempt in range(_WIDEN_RETRIES + 1):
+        logs = np.array([[_log_bound(diam, g, k, float(d), tau)
+                          for d, g in zip(grid, g_vals)] for k in ns])
+        idx = np.argmin(logs, axis=1)
+        left, right = np.any(idx == 0), np.any(idx == len(grid) - 1)
+        if given or attempt == _WIDEN_RETRIES or not (left or right):
             break
-        if i == 0:
-            grid = np.concatenate([np.geomspace(grid[0] / 10.0, grid[0], 9)[:-1], grid])
-        else:
-            grid = np.concatenate([grid, np.geomspace(grid[-1], grid[-1] * 10.0, 9)[1:]])
+        step = math.log(grid[1] / grid[0])
+        ks = step * np.arange(1, math.ceil(math.log(10.0) / step) + 1)
+        lo = grid[0] * np.exp(-ks[::-1]) if left else grid[:0]
+        hi = grid[-1] * np.exp(ks) if right else grid[:0]
+        grid = np.concatenate([lo, grid, hi])
+        g_vals = np.concatenate([G(lo), g_vals, G(hi)])
 
-    log_grid = [math.log(d) for d in grid]
-    x_log, neg = refine_grid_max(lambda s: -log_bound_at(math.exp(s)),
-                                 log_grid, -logs, i, iters=refine_iters)
-    best_log = -neg
-    best_delta = math.exp(x_log)
-
-    g_vals = np.array([model.neighborhood_max(float(d)) for d in grid])
     bounds = np.where(logs <= _LOG_HUGE, np.exp(np.minimum(logs, _LOG_HUGE)), np.inf)
-    best = math.exp(best_log) if best_log <= _LOG_HUGE else math.inf
-    return BoundReport(n=n, tau=tau, delta_grid=grid, g_values=g_vals,
-                       bound_values=bounds, best_delta=best_delta, best_bound=best)
+    reports = [BoundReport(n=k, tau=tau, delta_grid=grid, g_values=g_vals,
+                           bound_values=b, best_delta=float(grid[i]), best_bound=float(b[i]))
+               for k, b, i in zip(ns, bounds, idx)]
+    return reports[0] if single else reports

@@ -19,8 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import (lebesgue_bound, optimize_bound, quasi_lebesgue_bound,
-                     switching_constant)
+from .bounds import _bound, optimize_bound, switching_constant
 from .compact_set import CompactSet, ValidationError, cantor_approx, from_spec, make_union
 from .green import GreenBuildError, build_green_model, green_interval_analytic
 from .inequalities import (ineq1_log_margin, ineq2_log_margin,
@@ -152,25 +151,25 @@ def _cmd_bound(args) -> int:
         n = args.n
         deltas = np.geomspace(1e-4 * K.diam, K.diam, args.deltas)
         rows = ["delta,G,bound_tau1,bound_tau"]
-        for d in deltas:
-            g = model.neighborhood_max(float(d))
-            b1 = lebesgue_bound(model, n, float(d))
-            bt = quasi_lebesgue_bound(model, n, args.tau, float(d))
+        for d in map(float, deltas):
+            g = model.neighborhood_max(d)
+            b1 = _bound(K.diam, g, n, d, 1.0)
+            bt = _bound(K.diam, g, n, d, args.tau)
             rows.append(",".join([_fmt(d), _fmt(g), _fmt(b1), _fmt(bt)]))
         _emit("\n".join(rows) + "\n", args.out)
-        rep = optimize_bound(model, n, tau=args.tau)
-        _write_meta(args.out, "bound", args, {
-            "best_delta": rep.best_delta, "best_bound": rep.best_bound})
+        if args.out:
+            rep = optimize_bound(model, n, tau=args.tau)
+            _write_meta(args.out, "bound", args, {
+                "best_delta": rep.best_delta, "best_bound": rep.best_bound})
         return 0
 
     ns = _parse_range(args.n_range)
     seq = _build_sequence(K, max(ns), args)
     rows = ["n,lambda,bound,best_delta"]
     ok = True
-    for n in ns:
+    for n, rep in zip(ns, optimize_bound(model, ns, tau=args.tau)):
         op = InterpolationOperator.from_sequence(seq, n=n)
         lam = op.lebesgue_constant(K).lambda_n
-        rep = optimize_bound(model, n, tau=args.tau)
         ok = ok and lam <= rep.best_bound
         rows.append(",".join(["%d" % n, _fmt(lam), _fmt(rep.best_bound),
                               _fmt(rep.best_delta)]))

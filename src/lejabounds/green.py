@@ -42,6 +42,7 @@ from .compact_set import CompactSet, ValidationError, make_union
 _COEF_TAIL_TOL = 1e-12
 _RESIDUAL_TOL = 1e-9
 _MAX_ORDER = 4096
+_COS_BLOCK = 256   # rows of the cosine transform held at once in _solve
 
 
 class GreenBuildError(RuntimeError):
@@ -78,7 +79,6 @@ class GreenModel:
     component_signs: np.ndarray         # sign of h on each component
     cheb_coeffs: list                   # per component, trimmed C_{j,k}
     diagnostics: dict = field(default_factory=dict)
-    _g_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def capacity(self) -> float:
@@ -139,24 +139,20 @@ class GreenModel:
         g = np.maximum(g, 0.0)
         return float(g) if g.ndim == 0 else g
 
-    def neighborhood_max(self, delta: float, boundary_samples: int = 256,
-                         refine: bool = True) -> float:
-        """G(delta): max of g over {z : dist(z, K) <= 2 delta}.
+    def neighborhood_max(self, delta: float) -> float:
+        """G(delta): max of g over {z : dist(z, K) <= 2 delta}, sampled.
 
         g is harmonic off K, so the max sits on the outer boundary of the
         fattened set. With r = 2 delta the boundary over each merged group of
         fattened components is the curve x + i*sqrt(r^2 - d(x)^2) (d = real
-        distance to K) together with the two real tips; the curve is sampled,
-        then the winning cell is re-sampled in a few batched zoom rounds
-        (cheaper than a scalar golden search: one vectorized evaluation costs
-        about the same as one scalar call).
+        distance to K) together with the two real tips; the curve is sampled
+        at 256 points, then the winning cell is re-sampled in a few batched
+        zoom rounds (one vectorized evaluation costs about as much as one
+        scalar call, so this beats a golden search). Nothing is stored: a
+        caller that needs G at one delta twice keeps the value itself.
         """
         if not delta > 0:
             raise ValidationError("delta must be positive")
-        key = (float(delta), int(boundary_samples), bool(refine))
-        hit = self._g_cache.get(key)
-        if hit is not None:
-            return hit
         r = 2.0 * delta
         fat = make_union([(lo - r, hi + r) for lo, hi in self.set.intervals])
 
@@ -166,22 +162,20 @@ class GreenModel:
 
         best = 0.0
         for L, R in fat.intervals:
-            xs = np.linspace(L, R, boundary_samples)
+            xs = np.linspace(L, R, 256)
             zcurve = xs + 1j * height(xs)
             gs = self.value(zcurve)
             i = int(np.argmax(gs))
             best = max(best, float(gs[i]))
-            if refine:
-                lo_b = float(xs[max(i - 1, 0)])
-                hi_b = float(xs[min(i + 1, len(xs) - 1)])
-                for _ in range(4):
-                    xz = np.linspace(lo_b, hi_b, 33)
-                    gz = self.value(xz + 1j * height(xz))
-                    j = int(np.argmax(gz))
-                    best = max(best, float(gz[j]))
-                    lo_b = float(xz[max(j - 1, 0)])
-                    hi_b = float(xz[min(j + 1, len(xz) - 1)])
-        self._g_cache[key] = best
+            lo_b = float(xs[max(i - 1, 0)])
+            hi_b = float(xs[min(i + 1, len(xs) - 1)])
+            for _ in range(4):
+                xz = np.linspace(lo_b, hi_b, 33)
+                gz = self.value(xz + 1j * height(xz))
+                j = int(np.argmax(gz))
+                best = max(best, float(gz[j]))
+                lo_b = float(xz[max(j - 1, 0)])
+                hi_b = float(xz[min(j + 1, len(xz) - 1)])
         return best
 
 
@@ -239,14 +233,16 @@ def _solve(K: CompactSet, order: int, system):
     except np.linalg.LinAlgError as exc:
         raise GreenBuildError(f"equilibrium system singular at order {order}") from exc
 
-    # transplanted densities and their Chebyshev coefficients
-    cosk = np.cos(np.outer(np.arange(order), _quad_angles(order)))  # (order, order)
-    cheb_coeffs = []
-    vmin = np.inf
-    for j, (t, root) in enumerate(comps):
-        v = signs[j] * _cheb.chebval(_hull_coord(K, t), coef) / (math.pi * root)
-        vmin = min(vmin, float(v.min()))
-        cheb_coeffs.append((math.pi / order) * (cosk @ v))
+    # transplanted densities and their Chebyshev coefficients (cosines by row block)
+    vs = [signs[j] * _cheb.chebval(_hull_coord(K, t), coef) / (math.pi * root)
+          for j, (t, root) in enumerate(comps)]
+    vmin = min(float(v.min()) for v in vs)
+    theta = _quad_angles(order)
+    cheb_coeffs = [np.empty(order) for _ in vs]
+    for r0 in range(0, order, _COS_BLOCK):
+        cosk = np.cos(np.outer(np.arange(r0, min(r0 + _COS_BLOCK, order)), theta))
+        for C, v in zip(cheb_coeffs, vs):
+            C[r0:r0 + len(cosk)] = (math.pi / order) * (cosk @ v)
     return coef, signs, cheb_coeffs, vmin
 
 

@@ -99,10 +99,10 @@ def test_05_bound_dominates_exact_leja(model_unit, model_two, K_unit, K_two,
     worst_gap = math.inf
     for model, K, seq in ((model_unit, K_unit, leja_unit_100),
                           (model_two, K_two, leja_two_100)):
-        for n in range(1, 101):
+        for n, rep in zip(range(1, 101), optimize_bound(model, range(1, 101))):
             lam = InterpolationOperator.from_sequence(seq, n=n) \
                 .lebesgue_constant(K).lambda_n
-            bound = optimize_bound(model, n).best_bound
+            bound = rep.best_bound
             if not lam <= bound:
                 violations += 1
             worst_gap = min(worst_gap, bound / lam)
@@ -119,8 +119,8 @@ def test_06_bound_dominates_quasi(model_unit, K_unit, quasi_unit_seqs,
     violations = 0
     worst_gap = math.inf
     for tau in QUASI_TAUS:
-        bounds = {n: optimize_bound(model_unit, n, tau=tau).best_bound
-                  for n in range(1, 61)}
+        bounds = {rep.n: rep.best_bound
+                  for rep in optimize_bound(model_unit, range(1, 61), tau=tau)}
         for seed in QUASI_SEEDS:
             seq = quasi_unit_seqs[(tau, seed)]
             for n in range(1, 61):

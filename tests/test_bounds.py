@@ -64,11 +64,39 @@ def test_any_delta_is_valid(model_unit, leja_unit_100, K_unit):
 
 def test_optimize_bound_report(model_unit):
     rep = optimize_bound(model_unit, 10)
-    # refinement may only improve on the grid minimum
-    assert rep.best_bound <= min(rep.bound_values) + 1e-12
-    assert rep.best_delta > 0
+    assert rep.best_bound == min(rep.bound_values)
+    assert rep.best_delta in rep.delta_grid
     assert len(rep.delta_grid) == len(rep.g_values) == len(rep.bound_values)
     assert rep.n == 10 and rep.tau == 1.0
+
+
+def test_optimize_bound_sequence_matches_single(model_two):
+    grid = np.geomspace(1e-3, 2.0, 12)
+    ns = [1, 7, 40]
+    for tau in (1.0, 0.5):
+        reps = optimize_bound(model_two, ns, tau=tau, delta_grid=grid)
+        assert [r.n for r in reps] == ns
+        for rep in reps:
+            one = optimize_bound(model_two, rep.n, tau=tau, delta_grid=grid)
+            for f in ("delta_grid", "g_values", "bound_values"):
+                assert np.array_equal(getattr(rep, f), getattr(one, f))
+            assert (rep.tau, rep.best_delta, rep.best_bound) == \
+                (one.tau, one.best_delta, one.best_bound)
+
+
+def test_optimize_bound_widens_shared_grid(model_unit):
+    base = np.geomspace(1e-4 * 2.0, 2.0, 64)
+    small, large = optimize_bound(model_unit, [1, 100])
+    grid = small.delta_grid
+    assert large.delta_grid is grid and large.g_values is small.g_values
+    assert grid[0] < base[0] and grid[-1] > base[-1]
+    steps = np.diff(np.log(grid))
+    assert np.allclose(steps, math.log(base[1] / base[0]), rtol=1e-9, atol=0)
+    assert large.best_delta < base[0] and small.best_delta > base[-1]
+    with pytest.raises(ValidationError):
+        optimize_bound(model_unit, [3, 0])
+    with pytest.raises(ValidationError):
+        optimize_bound(model_unit, [])
 
 
 def test_optimize_bound_improves_on_coarse_grid(model_unit):

@@ -76,6 +76,21 @@ def test_bound_single_n(capsys):
     assert bt > b1   # relaxed admissibility always costs
 
 
+def test_bound_single_n_evaluates_G_once_per_delta(monkeypatch, capsys):
+    from lejabounds.green import GreenModel
+    calls = []
+    original = GreenModel.neighborhood_max
+
+    def counted(self, delta):
+        calls.append(delta)
+        return original(self, delta)
+
+    monkeypatch.setattr(GreenModel, "neighborhood_max", counted)
+    assert run(capsys, "bound", "--n", "5", "--deltas", "6")[0] == 0
+    assert len(calls) == 6
+    assert run(capsys, "bound", "--n", "5", "--deltas", "6", "--tau", "1.5")[0] == 2
+
+
 def test_bound_range_table(tmp_path, capsys):
     sweeps = tmp_path / "sweeps"
     code, out, _ = run(capsys, "bound", "--n-range", "2:3",

@@ -1,4 +1,6 @@
 import math
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,10 +97,26 @@ def test_neighborhood_max_monotone(model_two):
     assert np.all(np.diff(gs) > -1e-12)
 
 
-def test_neighborhood_max_cached(model_unit):
-    a = model_unit.neighborhood_max(1e-3)
-    b = model_unit.neighborhood_max(1e-3)
+def test_neighborhood_max_pure(model_unit):
+    before = pickle.dumps(vars(model_unit))
+    a = model_unit.neighborhood_max(1.234e-3)
+    b = model_unit.neighborhood_max(1.234e-3)
     assert a == b
+    assert pickle.dumps(vars(model_unit)) == before
+
+
+def test_solve_memory_bounded_at_order_cap(K_two):
+    from lejabounds.green import _solve, _system
+    order = 4096
+    system = _system(K_two, order)
+    tracemalloc.start()
+    try:
+        _solve(K_two, order, system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a dense order x order cosine matrix alone would take 134 MB
+    assert peak < 64e6
 
 
 def test_sqrt_scaling_near_set(model_unit):
