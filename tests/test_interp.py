@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lejabounds import InterpolationOperator, ValidationError, make_union
+from lejabounds import (InterpolationOperator, PointSequence, ValidationError,
+                        cantor_approx, leja_sequence, make_union,
+                        quasi_leja_sequence)
 
 
 @pytest.fixture(scope="module")
@@ -86,24 +88,101 @@ def test_from_sequence_prefix(leja_unit_100):
         InterpolationOperator.from_sequence(leja_unit_100, n=101)
 
 
-def test_profile_csv(tmp_path, op3, K_unit):
-    rep = op3.lebesgue_constant(K_unit, keep_profile=True)
-    p = tmp_path / "profile.csv"
-    rep.write_profile_csv(p)
-    lines = p.read_text().splitlines()
-    assert lines[0] == "x,lambda(x)"
-    assert len(lines) > 100
-
-
 def test_duplicate_nodes_rejected():
     with pytest.raises(ValidationError):
         InterpolationOperator(np.array([0.0, 1.0, 0.0]))
 
 
-def test_undersampled_density_warns(K_unit):
-    nodes = np.array([-1.0, -0.999, 0.5, 1.0])
-    with pytest.warns(UserWarning):
-        InterpolationOperator(nodes).lebesgue_constant(K_unit, grid_density=10.0)
+@pytest.mark.parametrize("bad,literal", [(np.nan, "NaN"), (np.inf, "Infinity"),
+                                         (-np.inf, "-Infinity")])
+def test_nonfinite_nodes_rejected(bad, literal):
+    with pytest.raises(ValidationError):
+        InterpolationOperator([0.0, bad, 0.5])
+    # JSON accepts NaN and Infinity, so a loaded sequence must be caught too
+    seq = PointSequence.from_json(
+        '{"points": [0.0, %s, 0.5], "tau": 1.0, "grid_density": 100.0}' % literal)
+    with pytest.raises(ValidationError):
+        InterpolationOperator.from_sequence(seq)
+
+
+def _sampled_max(op, K):
+    """Max of the Lebesgue function over 2000 points per component plus 20
+    interior points per node gap inside a component."""
+    xs = []
+    for lo, hi in K.intervals:
+        xs.append(np.linspace(lo, hi, 2000))
+        inside = np.sort(op.nodes[(op.nodes >= lo) & (op.nodes <= hi)])
+        frac = np.arange(1, 21) / 21.0
+        xs.append((inside[:-1, None] + np.diff(inside)[:, None] * frac).ravel())
+    return float(np.max(op.lebesgue_function(np.concatenate(xs))))
+
+
+_PIECE_CASES = (
+    [("cantor3", n) for n in (1, 3, 5)]
+    + [("two", n) for n in range(1, 31)]
+    + [("sym", n) for n in range(1, 21)])
+
+
+@pytest.fixture(scope="module")
+def piece_sequences():
+    sets = {"cantor3": cantor_approx(3, 1.0 / 3.0),
+            "two": make_union([(0.0, 1.0), (2.0, 3.0)]),
+            "sym": make_union([(-1.0, -0.3), (0.3, 1.0)])}
+    seqs = {"cantor3": quasi_leja_sequence(sets["cantor3"], 5, 0.9, rng_seed=0),
+            "two": leja_sequence(sets["two"], 30),
+            "sym": leja_sequence(sets["sym"], 20)}
+    return sets, seqs
+
+
+@pytest.mark.parametrize("name,n", _PIECE_CASES)
+def test_lebesgue_constant_covers_end_and_empty_pieces(piece_sequences, name, n):
+    # node-free components and the pieces between a component end and its
+    # outermost node are scanned as well as the gaps between nodes
+    sets, seqs = piece_sequences
+    K = sets[name]
+    op = InterpolationOperator.from_sequence(seqs[name], n)
+    rep = op.lebesgue_constant(K)
+    assert rep.lambda_n >= (1.0 - 1e-12) * _sampled_max(op, K)
+    assert op.lebesgue_function(rep.argmax_x) == rep.lambda_n
+    assert K.contains(rep.argmax_x)
+    if n == 1:
+        assert rep.lambda_n == 1.0
+
+
+def _log_space_basis(nodes, x):
+    """L_k(x) for all k from the definition prod_{j != k} (x - x_j) /
+    (x_k - x_j), with per-term logs and signs; shape (len(x), len(nodes))."""
+    diff = nodes[:, None] - nodes[None, :]
+    off = ~np.eye(len(nodes), dtype=bool)
+    log_w = -np.where(off, np.log(np.abs(np.where(off, diff, 1.0))), 0.0).sum(axis=1)
+    sign_w = np.where(off, np.sign(diff), 1.0).prod(axis=1)
+    d = x[:, None] - nodes[None, :]
+    logs, sgns = np.log(np.abs(d)), np.sign(d)
+    log_l = logs.sum(axis=1)[:, None] - logs + log_w[None, :]
+    sign_l = sgns.prod(axis=1)[:, None] * sgns * sign_w[None, :]
+    return sign_l * np.exp(log_l)
+
+
+@pytest.mark.parametrize("K", [make_union([(-1.0, 1.0)]),
+                               make_union([(0.0, 1.0), (2.0, 3.0)])],
+                         ids=["unit", "two"])
+def test_barycentric_matches_log_space_reference(K):
+    seq = leja_sequence(K, 200)
+    rng = np.random.default_rng(7)
+    comps = np.array(K.intervals)
+    pick = comps[rng.integers(len(comps), size=300)]
+    x = pick[:, 0] + (pick[:, 1] - pick[:, 0]) * rng.random(300)
+    for n in (1, 2, 3, 7, 20, 60, 120, 200):
+        op = InterpolationOperator.from_sequence(seq, n)
+        ref = _log_space_basis(op.nodes, x)
+        got = np.column_stack([op.lagrange_basis(k, x) for k in range(n)])
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(op.lebesgue_function(x), np.abs(ref).sum(axis=1),
+                                   rtol=1e-12, atol=0.0)
+        # node hits are exact: Kronecker deltas and a Lebesgue value of 1
+        hits = np.column_stack([op.lagrange_basis(k, op.nodes) for k in range(n)])
+        np.testing.assert_array_equal(hits, np.eye(n))
+        np.testing.assert_array_equal(op.lebesgue_function(op.nodes), np.ones(n))
 
 
 @given(st.integers(3, 9), st.floats(-0.99, 0.99))
