@@ -102,8 +102,8 @@ class CompactSet:
         Each component contributes ceil(length * density) + 1 equispaced
         points (at least min_per_component), endpoints always included.
         """
-        if not density > 0:
-            raise ValidationError("density must be positive")
+        if not 0 < density < math.inf:
+            raise ValidationError("density must be positive and finite")
         counts = []
         for lo, hi in self.intervals:
             n = max(min_per_component, int(math.ceil((hi - lo) * density)) + 1)

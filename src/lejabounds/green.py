@@ -37,12 +37,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
+from ._search import zoom_max
 from .compact_set import CompactSet, ValidationError, make_union
 
 _COEF_TAIL_TOL = 1e-12
 _RESIDUAL_TOL = 1e-9
 _MAX_ORDER = 4096
 _COS_BLOCK = 256   # rows of the cosine transform held at once in _solve
+_CURVE_COUNTS = (256, 33, 33, 33, 33)   # samples per zoom round of G(delta)
 
 
 class GreenBuildError(RuntimeError):
@@ -145,38 +147,23 @@ class GreenModel:
         g is harmonic off K, so the max sits on the outer boundary of the
         fattened set. With r = 2 delta the boundary over each merged group of
         fattened components is the curve x + i*sqrt(r^2 - d(x)^2) (d = real
-        distance to K) together with the two real tips; the curve is sampled
-        at 256 points, then the winning cell is re-sampled in a few batched
-        zoom rounds (one vectorized evaluation costs about as much as one
-        scalar call, so this beats a golden search). Nothing is stored: a
-        caller that needs G at one delta twice keeps the value itself.
+        distance to K) together with the two real tips. The curves of all
+        groups are sampled at 256 points each and then zoomed together in 4
+        rounds of 33 points, one evaluation of g per round. Nothing is
+        stored: a caller that needs G at one delta twice keeps the value
+        itself.
         """
         if not delta > 0:
             raise ValidationError("delta must be positive")
         r = 2.0 * delta
         fat = make_union([(lo - r, hi + r) for lo, hi in self.set.intervals])
 
-        def height(x):
-            d = self.set._real_dist(np.atleast_1d(np.asarray(x, dtype=float)))
-            return np.sqrt(np.maximum(r * r - d * d, 0.0))
+        def on_curve(x):
+            d = self.set._real_dist(x)
+            return self.value(x + 1j * np.sqrt(np.maximum(r * r - d * d, 0.0)))
 
-        best = 0.0
-        for L, R in fat.intervals:
-            xs = np.linspace(L, R, 256)
-            zcurve = xs + 1j * height(xs)
-            gs = self.value(zcurve)
-            i = int(np.argmax(gs))
-            best = max(best, float(gs[i]))
-            lo_b = float(xs[max(i - 1, 0)])
-            hi_b = float(xs[min(i + 1, len(xs) - 1)])
-            for _ in range(4):
-                xz = np.linspace(lo_b, hi_b, 33)
-                gz = self.value(xz + 1j * height(xz))
-                j = int(np.argmax(gz))
-                best = max(best, float(gz[j]))
-                lo_b = float(xz[max(j - 1, 0)])
-                hi_b = float(xz[min(j + 1, len(xz) - 1)])
-        return best
+        lo, hi = np.array(fat.intervals).T
+        return zoom_max(on_curve, lo, hi, _CURVE_COUNTS)[1]
 
 
 def _hull_coord(K: CompactSet, t):

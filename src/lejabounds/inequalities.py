@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import refine_grid_max
+from ._search import zoom_max
 from .bounds import switching_constant
 from .compact_set import ValidationError
 
@@ -141,11 +141,12 @@ class TightnessScan:
 def ineq2_tightness_scan(b_lo: float = 1.0, b_hi: float = 1e3,
                          grid: int = 4096) -> TightnessScan:
     """Maximize (B-1)/(B+1)^2, the exponent that makes the second
-    inequality sharp. The maximum is 1/8 at B = 3."""
-    def f(B):
+    inequality sharp, over a log grid of B zoomed 8 times. The maximum is
+    1/8 at B = 3."""
+    def f(u):
+        B = np.exp(u)
         return (B - 1.0) / (B + 1.0) ** 2
 
-    bs = np.geomspace(max(b_lo, 1e-6), b_hi, grid)
-    vals = f(bs)
-    xb, vb = refine_grid_max(f, bs, vals, int(np.argmax(vals)))
-    return TightnessScan(best_b=xb, best_value=vb)
+    u, value = zoom_max(f, math.log(max(b_lo, 1e-6)), math.log(b_hi),
+                        (grid,) + (33,) * 8)
+    return TightnessScan(best_b=math.exp(u), best_value=value)

@@ -6,8 +6,10 @@ signs and scaled by their largest modulus, so hundreds of nodes neither
 under- nor overflow. Every evaluation goes through the terms
 t_k(x) = w_k / (x - x_k) (Berrut & Trefethen, SIAM Rev. 46, 2004):
 interpolant sum t_k f_k / sum t, basis L_k = t_k / sum t, Lebesgue function
-sum |t| / |sum t|, each exact at node hits. The Lebesgue constant comes from
-one batched zoom over the pieces of K cut at the nodes.
+sum |t| / |sum t|, each exact at node hits; the Lebesgue function runs in
+row blocks, so its memory does not grow with the number of points. The
+Lebesgue constant comes from one batched zoom over the pieces of K cut at
+the nodes.
 """
 
 from __future__ import annotations
@@ -16,11 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._search import zoom_max
 from .compact_set import CompactSet, ValidationError
 
-# samples per bracket (ends included) and zoom rounds of the Lebesgue scan
-_SCAN_SAMPLES = 10
-_SCAN_ROUNDS = 12
+# samples per bracket (ends included) in each of the 13 rounds of the scan
+_SCAN_COUNTS = (10,) * 13
+# point x node entries of one row block of the Lebesgue function
+_BLOCK_ENTRIES = 1 << 20
 
 
 class InterpolationOperator:
@@ -86,10 +90,15 @@ class InterpolationOperator:
 
     def lebesgue_function(self, x):
         """Sum_k |L_k(x)|; equals 1 at the nodes."""
-        t, hit = self._terms(x)
-        with np.errstate(invalid="ignore"):
-            vals = np.abs(t).sum(axis=1) / np.abs(t.sum(axis=1))
-        vals[hit.any(axis=1)] = 1.0
+        xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
+        vals = np.empty(len(xs))
+        rows = max(1, _BLOCK_ENTRIES // self.n)
+        for r0 in range(0, len(xs), rows):
+            t, hit = self._terms(xs[r0:r0 + rows])
+            with np.errstate(invalid="ignore"):
+                v = np.abs(t).sum(axis=1) / np.abs(t.sum(axis=1))
+            v[hit.any(axis=1)] = 1.0
+            vals[r0:r0 + rows] = v
         return float(vals[0]) if np.ndim(x) == 0 else vals.reshape(np.shape(x))
 
     def lebesgue_constant(self, K: CompactSet) -> "LebesgueReport":
@@ -107,20 +116,10 @@ class InterpolationOperator:
         nodes = np.sort(self.nodes)
         cuts = [np.concatenate(([lo], nodes[(nodes > lo) & (nodes < hi)], [hi]))
                 for lo, hi in K.intervals]
-        lo = np.concatenate([c[:-1] for c in cuts])
-        hi = np.concatenate([c[1:] for c in cuts])
-        xs, vals = [], []
-        for _ in range(_SCAN_ROUNDS + 1):
-            x = np.linspace(lo, hi, _SCAN_SAMPLES, axis=1)
-            v = self.lebesgue_function(x)
-            xs.append(x.ravel())
-            vals.append(v.ravel())
-            cells = np.argmax(v, axis=1)[:, None] + [-1, 1]
-            lo, hi = np.take_along_axis(x, cells.clip(0, _SCAN_SAMPLES - 1), axis=1).T
-        xs, vals = np.concatenate(xs), np.concatenate(vals)
-        i = np.lexsort((xs, -vals))[0]
-        return LebesgueReport(n=self.n, lambda_n=float(vals[i]),
-                              argmax_x=float(xs[i]))
+        x, lam = zoom_max(self.lebesgue_function,
+                          np.concatenate([c[:-1] for c in cuts]),
+                          np.concatenate([c[1:] for c in cuts]), _SCAN_COUNTS)
+        return LebesgueReport(n=self.n, lambda_n=lam, argmax_x=x)
 
 
 @dataclass

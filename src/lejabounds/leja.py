@@ -1,12 +1,13 @@
 """Leja and tau-quasi-Leja point sequences on interval unions.
 
 Exact mode picks, at every step, the point of K maximizing the distance
-product to the points already chosen (grid argmax, then golden refinement
-inside the bracketing cells, ties toward the smaller abscissa). Quasi mode
-with relaxation tau picks uniformly at random (seeded) among all grid
-points whose product reaches tau times the refined step maximum, falling
-back to the refined argmax when no grid point qualifies; that fallback also
-makes tau = 1 reproduce exact mode bit for bit.
+product to the points already chosen (grid argmax, then a bracketed Newton
+refinement inside the two cells around it, ties toward the smaller
+abscissa). Quasi mode with relaxation tau picks uniformly at random
+(seeded) among all grid points whose product reaches tau times the refined
+step maximum, falling back to the refined argmax when no grid point
+qualifies; that fallback also makes tau = 1 reproduce exact mode bit for
+bit.
 
 Products are accumulated in log space: a running vector of
 sum_j log|grid - x_j| is updated with one term per step, so an n-point
@@ -21,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import refine_grid_max
 from .compact_set import CompactSet, ValidationError
 from .green import GreenModel
 
 DEFAULT_GRID_DENSITY = 10_000.0
+_NEWTON_ITERS = 100   # safety cap; a step converges in a handful
 
 
 @dataclass(frozen=True)
@@ -93,18 +94,46 @@ def _resolve_x0(K: CompactSet, x0) -> tuple[float, str]:
 
 
 def _refine_step(K: CompactSet, grid, cum, pts_arr, idx: int):
-    """Golden-refine the grid argmax of the running log product."""
+    """Refine the grid argmax grid[idx] of the running log product P.
+
+    The bracket is the two grid cells around the argmax, clipped to its
+    component and to the nearest chosen point on each side. P is strictly
+    concave there, so its maximum is at the root of P'(x) = sum 1/(x - x_j),
+    found by Newton steps with P''(x) = -sum 1/(x - x_j)^2 (a bisection
+    whenever a step leaves the bracket, stopping at a step of a few ulps),
+    or else at a bracket end. Returns floats (x, P(x)).
+    """
+    xg, fg = float(grid[idx]), float(cum[idx])
+    c_lo, c_hi = K.component_of(xg)
+    lo = max(float(grid[max(idx - 1, 0)]), c_lo,
+             float(np.max(pts_arr, initial=-math.inf, where=pts_arr < xg)))
+    hi = min(float(grid[min(idx + 1, len(grid) - 1)]), c_hi,
+             float(np.min(pts_arr, initial=math.inf, where=pts_arr > xg)))
 
     def obj(x: float) -> float:
         with np.errstate(divide="ignore"):
             return float(np.sum(np.log(np.abs(x - pts_arr))))
 
+    a, b = lo, hi
+    x = xg if a < xg < b else 0.5 * (a + b)
+    ulps = 4.0 * math.ulp(max(abs(a), abs(b)))
+    for _ in range(_NEWTON_ITERS):
+        r = 1.0 / (x - pts_arr)
+        slope = float(r.sum())
+        a, b = (x, b) if slope > 0.0 else (a, x)
+        step = x + slope / float(r @ r)
+        x, last = (step if a < step < b else 0.5 * (a + b)), x
+        if abs(x - last) <= ulps:
+            break
+    x, fx = max([(lo, obj(lo)), (hi, obj(hi)), (x, obj(x))],
+                key=lambda c: (c[1], -c[0]))
     # accept the refined point only on a clear improvement: near-flat peaks
     # evaluate with O(eps) noise per term and a noise-level "win" off the
     # grid would break deterministic tie handling on symmetric sets
-    tol = 1e-12 * (1.0 + abs(float(cum[idx])))
-    return refine_grid_max(obj, grid, cum, idx, *K.component_of(float(grid[idx])),
-                           iters=70, tol=tol)
+    tol = 1e-12 * (1.0 + abs(fg))
+    if fx > fg + tol or (fx == fg + tol and x < xg):
+        return x, fx
+    return xg, fg
 
 
 def _generate(K: CompactSet, n: int, tau: float, rng_seed: int,

@@ -53,6 +53,8 @@ class SwitchingInstance:
             raise ValidationError("need at least x_0 and x_1")
         if not 0.0 < self.tau <= 1.0:
             raise ValidationError("tau must lie in (0, 1]")
+        if not all(map(math.isfinite, self.points)):
+            raise ValidationError("points must be finite")
         if len(set(self.points)) != len(self.points):
             raise ValidationError("points must be pairwise distinct")
 
@@ -65,7 +67,12 @@ class SwitchingInstance:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SwitchingInstance":
-        return cls(points=tuple(map(float, obj["points"])), tau=float(obj["tau"]))
+        try:
+            points, tau = tuple(map(float, obj["points"])), float(obj["tau"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError("a switching instance is a JSON object with "
+                                  f"numeric 'points' and 'tau' ({exc!r})") from exc
+        return cls(points=points, tau=tau)
 
 
 @dataclass(frozen=True)

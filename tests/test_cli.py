@@ -143,6 +143,22 @@ def test_itau_points_file(tmp_path, capsys):
         optimal_switching(inst).log_value, rel=1e-12)
 
 
+@pytest.mark.parametrize("text", [
+    '{"points": [Infinity, 0.0, 1.0], "tau": 0.9}',   # non-finite points
+    '{"points": [0.0, NaN, 2.0], "tau": 0.9}',
+    '{"tau": 0.9}',                                   # no points
+    '[1, 2]',                                         # not an object
+    '{"points": [0, 1, 2]}',                          # no tau
+])
+def test_itau_points_file_rejects_bad_instance(tmp_path, capsys, text):
+    f = tmp_path / "inst.json"
+    f.write_text(text)
+    code, out, err = run(capsys, "itau", "--points-file", str(f))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_config_file(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"tau": 0.7, "seed": 3, "n": 5}))
@@ -171,6 +187,14 @@ def test_usage_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["lebesgue", "--n-range", "1:4", "--bogus"])
     assert exc.value.code == 2
+
+
+def test_nonfinite_grid_density_is_usage_error(capsys):
+    for density in ("inf", "nan"):
+        code, out, err = run(capsys, "points", "--n", "5", "--grid-density", density)
+        assert code == 2
+        assert out == ""
+        assert err == "error: density must be positive and finite\n"
 
 
 def test_missing_n_is_usage_error(capsys):

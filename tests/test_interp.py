@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,6 +74,21 @@ def test_lebesgue_constant_equispaced_growth(K_unit):
     nodes = np.linspace(-1, 1, 10)
     rep = InterpolationOperator(nodes).lebesgue_constant(K_unit)
     assert rep.lambda_n == pytest.approx(17.848, rel=1e-3)
+
+
+def test_lebesgue_scan_memory_bounded(K_unit):
+    # 1000 Chebyshev nodes: one round of the scan is 10010 points x 1000
+    # nodes, 80 MB for each dense matrix if evaluated in one block
+    op = InterpolationOperator(np.cos((2 * np.arange(1000) + 1) * np.pi / 2000))
+    tracemalloc.start()
+    try:
+        rep = op.lebesgue_constant(K_unit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+    # classical bound (2/pi) log(n) + 1 for Chebyshev points
+    assert 1.0 < rep.lambda_n < 2 / np.pi * np.log(1000) + 1
 
 
 def test_lebesgue_constant_chebyshev_small(K_unit):

@@ -17,7 +17,7 @@ def test_first_steps_on_unit_interval(K_unit):
     assert seq.points[1] == -1.0
     assert seq.points[2] == 0.0
     # symmetric tie resolves to the smaller point
-    assert seq.points[3] == pytest.approx(-INV_SQRT3, abs=1e-7)
+    assert seq.points[3] == pytest.approx(-INV_SQRT3, abs=1e-15)
 
 
 def test_x0_policies(K_two):
@@ -38,16 +38,30 @@ def test_exact_mode_ratios_are_one(leja_unit_100):
     assert all(r == 1.0 for r in leja_unit_100.achieved_ratios)
 
 
-def test_greedy_step_optimality(leja_unit_100, K_unit):
-    # each new point maximizes the product against earlier points: spot
-    # check step 10 on a fine independent grid
-    pts = np.asarray(leja_unit_100.points)
-    k = 10
-    grid = np.linspace(-1, 1, 200001)
-    with np.errstate(divide="ignore"):
-        prod = np.sum(np.log(np.abs(grid[:, None] - pts[None, :k])), axis=1)
-    chosen = np.sum(np.log(np.abs(pts[k] - pts[:k])))
-    assert chosen >= np.max(prod) - 1e-8
+def _per_gap_log_max(nodes):
+    """max over [-1, 1] of sum_j log|x - x_j| for nodes that include -1 and
+    1: P is strictly concave between consecutive nodes, so each gap holds
+    one maximum, the root of P' found by Newton with bisection safeguard."""
+    s = np.sort(nodes)
+    a, b = s[:-1].copy(), s[1:].copy()
+    x = 0.5 * (a + b)
+    for _ in range(100):
+        r = 1.0 / (x[:, None] - s[None, :])
+        f, fp = r.sum(axis=1), -(r * r).sum(axis=1)
+        a, b = np.where(f > 0, x, a), np.where(f > 0, b, x)
+        step = x - f / fp
+        x = np.where((step > a) & (step < b), step, 0.5 * (a + b))
+    return float(np.max(np.log(np.abs(x[:, None] - s[None, :])).sum(axis=1)))
+
+
+def test_greedy_step_optimality(K_unit):
+    # every step before the grid bracket first misses the maximum (step 140)
+    # reaches the true maximum over K of the product against earlier points
+    pts = np.asarray(leja_sequence(K_unit, 140).points)
+    assert list(pts[:2]) == [1.0, -1.0]
+    for k in range(2, 140):
+        chosen = np.sum(np.log(np.abs(pts[k] - pts[:k])))
+        assert chosen >= _per_gap_log_max(pts[:k]) + math.log1p(-1e-12), k
 
 
 def test_quasi_ratios_respect_tau(quasi_unit_seqs):

@@ -1,43 +1,61 @@
 import numpy as np
 
-from lejabounds._search import refine_grid_max
+from lejabounds._search import zoom_max
 
 
-def test_constant_tie_goes_to_smaller_abscissa():
-    grid = np.array([0.0, 1.0, 2.0])
-    x, fx = refine_grid_max(lambda t: 1.0, grid, np.ones(3), 1)
-    assert (x, fx) == (0.0, 1.0)
+def test_tie_goes_to_smaller_abscissa():
+    assert zoom_max(lambda x: np.ones_like(x), 0.0, 2.0, (5, 5)) == (0.0, 1.0)
+    # equal peaks at 0.25 and 0.75, both on the first sample grid
+    x, fx = zoom_max(lambda x: -np.abs(np.abs(x - 0.5) - 0.25), 0.0, 1.0, (5, 5, 5))
+    assert (x, fx) == (0.25, 0.0)
 
 
-def test_tol_keeps_grid_point_on_small_gain():
-    def f(t):
-        return -(t - 0.6) ** 2
+def test_bracket_ends_are_sampled():
+    calls = []
 
-    grid = np.array([0.0, 0.5, 1.0])
-    vals = f(grid)
-    # the refined peak gains 0.01 over the grid point
-    assert refine_grid_max(f, grid, vals, 1, tol=0.1) == (0.5, float(vals[1]))
-    x, fx = refine_grid_max(f, grid, vals, 1, tol=1e-3)
-    assert abs(x - 0.6) < 1e-6 and fx > vals[1] + 1e-3
+    def f(x):
+        calls.append(x.copy())
+        return x
 
-
-def test_caps_clip_the_bracket():
-    grid = np.array([0.0, 1.0, 2.0, 3.0])
-    vals = grid.copy()
-    assert refine_grid_max(lambda t: t, grid, vals, 1)[0] == 2.0
-    assert refine_grid_max(lambda t: t, grid, vals, 1, hi_cap=1.5)[0] == 1.5
-    assert refine_grid_max(lambda t: -t, grid, -vals, 2, lo_cap=1.25)[0] == 1.25
+    assert zoom_max(f, [0.0, 2.0], [1.0, 3.0], (4, 3, 3)) == (3.0, 3.0)
+    # one call per round on all brackets together, first round ends included
+    assert [c.shape for c in calls] == [(2, 4), (2, 3), (2, 3)]
+    np.testing.assert_array_equal(calls[0][:, [0, -1]], [[0.0, 1.0], [2.0, 3.0]])
 
 
-def test_first_and_last_grid_point():
-    grid = np.array([0.0, 1.0, 2.0])
+def test_brackets_are_independent():
+    def f(x):
+        return np.where(x < 1.5, 1.0 - (x - 0.3) ** 2, 0.5 - (x - 2.7) ** 2)
 
+    # the peaks are flat to rounding within about 1e-8
+    counts = (9,) * 12
+    x1, f1 = zoom_max(f, 0.0, 1.0, counts)
+    x2, f2 = zoom_max(f, 2.0, 3.0, counts)
+    assert abs(x1 - 0.3) < 1e-7 and abs(x2 - 2.7) < 1e-7
+    assert zoom_max(f, [0.0, 2.0], [1.0, 3.0], counts) == (x1, f1)
+    # each bracket is sampled exactly as it would be on its own
+    def recorder(rows):
+        def g(x):
+            rows.append(x.copy())
+            return f(x)
+        return g
+
+    both, alone = [], []
+    zoom_max(recorder(both), [0.0, 2.0], [1.0, 3.0], counts)
+    zoom_max(recorder(alone), 2.0, 3.0, counts)
+    np.testing.assert_array_equal([x[1] for x in both], [x[0] for x in alone])
+
+
+def test_first_and_last_cells():
     def near(c):
-        return lambda t: -(t - c) ** 2
+        return lambda x: -(x - c) ** 2
 
-    f = near(0.2)
-    x, _ = refine_grid_max(f, grid, f(grid), 0)
-    assert abs(x - 0.2) < 1e-6
-    f = near(1.8)
-    x, _ = refine_grid_max(f, grid, f(grid), 2)
-    assert abs(x - 1.8) < 1e-6
+    for c in (0.02, 0.98):
+        x, _ = zoom_max(near(c), 0.0, 1.0, (11,) * 12)
+        assert abs(x - c) < 1e-7
+
+
+def test_degenerate_bracket():
+    x, fx = zoom_max(lambda x: x * x, [0.5, 2.0], [0.5, 2.0], (4, 4))
+    assert (x, fx) == (2.0, 4.0)
+    assert zoom_max(lambda x: -x, 1.5, 1.5, (3,)) == (1.5, -1.5)

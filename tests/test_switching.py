@@ -29,6 +29,10 @@ def test_instance_validation():
         SwitchingInstance((0.0, 1.0), 0.0)
     with pytest.raises(ValidationError):
         SwitchingInstance((0.0, 1.0), 1.5)
+    with pytest.raises(ValidationError):
+        SwitchingInstance((0.0, math.inf, 1.0), 0.9)
+    with pytest.raises(ValidationError):
+        SwitchingInstance((0.0, math.nan, 1.0), 0.9)
 
 
 def test_single_gap_value():
