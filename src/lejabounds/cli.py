@@ -37,11 +37,10 @@ def _fmt(v) -> str:
 
 
 def _parse_range(spec: str):
-    if ":" in spec:
-        lo, hi = spec.split(":", 1)
-        lo, hi = int(lo), int(hi)
-    else:
-        lo = hi = int(spec)
+    try:
+        lo, hi = map(int, spec.split(":", 1) if ":" in spec else (spec, spec))
+    except ValueError:
+        raise ValidationError("bad range %r" % spec) from None
     if lo < 1 or hi < lo:
         raise ValidationError("bad range %r" % spec)
     return range(lo, hi + 1)
@@ -57,10 +56,11 @@ def _build_set(args) -> CompactSet:
             part = part.strip()
             if not part:
                 continue
-            bits = part.split(",")
-            if len(bits) != 2:
-                raise ValidationError("interval %r is not 'lo,hi'" % part)
-            pairs.append((float(bits[0]), float(bits[1])))
+            try:
+                lo, hi = map(float, part.split(","))
+            except ValueError:
+                raise ValidationError("interval %r is not 'lo,hi'" % part) from None
+            pairs.append((lo, hi))
         return make_union(pairs)
     return make_union([(-1.0, 1.0)])
 
@@ -424,37 +424,30 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _apply_config(args, argv) -> None:
+def _apply_config(parser, args, argv):
+    """Parse argv again with the config file's values as the subcommand's
+    defaults, so explicit flags win and argparse converts and checks them.
+    Keys that name no option of the subcommand are ignored."""
     if not args.config:
-        return
+        return args
     cfg = json.loads(Path(args.config).read_text())
     if not isinstance(cfg, dict):
         raise ValidationError("config must be a JSON object")
-    if "set" in cfg and isinstance(cfg["set"], (dict,)):
+    if isinstance(cfg.get("set"), dict):
         # structured set spec, same shape from_spec accepts
-        K = from_spec(cfg.pop("set"))
-        if "--set" not in argv and getattr(args, "set_spec", None) is None:
-            args.set_spec = ";".join("%r,%r" % iv for iv in K.intervals)
-    for key, val in cfg.items():
-        dest = key.replace("-", "_")
-        if dest == "set":
-            dest = "set_spec"
-            flag = "--set"
-        else:
-            flag = "--" + key.replace("_", "-")
-        if not hasattr(args, dest):
-            continue
-        if flag in argv:
-            continue
-        setattr(args, dest, val)
+        cfg["set"] = ";".join("%r,%r" % iv for iv in from_spec(cfg["set"]).intervals)
+    sub = next(a for a in parser._actions if a.dest == "command").choices[args.command]
+    options = {a.dest for a in sub._actions}
+    dests = {("set_spec" if k == "set" else k.replace("-", "_")): v for k, v in cfg.items()}
+    sub.set_defaults(**{d: v for d, v in dests.items() if d in options})
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        _apply_config(args, argv)
+        args = _apply_config(parser, parser.parse_args(argv), argv)
         if args.command in ("lebesgue", "bound") and not args.n_range and args.n is None:
             parser.error("one of --n or --n-range is required")
         return args.func(args)

@@ -20,11 +20,14 @@ omega = zeta + sqrt(zeta - 1)*sqrt(zeta + 1) the exterior Joukowski root,
     int log|z - t| dmu_j = C_{j,0} (log w_j + log(|omega|/2))
                            - 2 sum_{k>=1} Re(omega^-k) C_{j,k} / k .
 
-The series converges at the rate of the C_{j,k}, so the evaluation stays
-spectrally accurate on and arbitrarily close to K, where plain quadrature
-against the log kernel would lose accuracy. For a single interval all
-C_{j,k} with k >= 1 vanish and the evaluation collapses to the closed form
-log|omega|.
+The C_{j,k} of all components come from one FFT of the even extension of
+the samples (a DCT-II). Each series is chopped after its last coefficient
+above _COEF_TAIL_TOL times its largest, and the sum over k is one Horner
+recurrence in omega^-1. The series converges at the rate of the C_{j,k},
+so the evaluation stays spectrally accurate on and arbitrarily close to K,
+where plain quadrature against the log kernel would lose accuracy. For a
+single interval v_j is constant, the chopped series keeps only C_{j,0}, and
+the evaluation is the closed form log|omega|.
 
 g(z) = potential(z) + Robin constant, clamped at 0; capacity = exp(-Robin).
 """
@@ -36,6 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
+from numpy.polynomial import polynomial as _poly
 
 from ._search import zoom_max
 from .compact_set import CompactSet, ValidationError, make_union
@@ -43,7 +47,6 @@ from .compact_set import CompactSet, ValidationError, make_union
 _COEF_TAIL_TOL = 1e-12
 _RESIDUAL_TOL = 1e-9
 _MAX_ORDER = 4096
-_COS_BLOCK = 256   # rows of the cosine transform held at once in _solve
 _CURVE_COUNTS = (256, 33, 33, 33, 33)   # samples per zoom round of G(delta)
 
 
@@ -79,7 +82,7 @@ class GreenModel:
     density_coeffs: np.ndarray          # h in Chebyshev basis on the hull
     robin_constant: float
     component_signs: np.ndarray         # sign of h on each component
-    cheb_coeffs: list                   # per component, trimmed C_{j,k}
+    cheb_coeffs: list                   # per component, C_{j,k} chopped by _chop
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -113,25 +116,10 @@ class GreenModel:
             half = 0.5 * (hi - lo)
             zeta = (2.0 * flat - lo - hi) / (hi - lo)
             om = _exterior_root(zeta)
-            absom = np.abs(om)
-            U += C[0] * (math.log(half) + np.log(0.5 * absom))
-            if len(C) > 1:
-                u = 1.0 / om
-                ks = np.arange(1, len(C))
-                if flat.size * ks.size <= 32768:
-                    # small batches are overhead-bound in the k loop below;
-                    # u^k.real as exp(k log|u|) cos(k arg u) is one shot
-                    w = np.log(u)
-                    P = np.exp(np.multiply.outer(ks, w.real))
-                    P *= np.cos(np.multiply.outer(ks, w.imag))
-                    U -= 2.0 * ((C[1:] / ks) @ P)
-                else:
-                    uk = u.copy()
-                    acc = np.zeros(flat.shape, dtype=float)
-                    for k in range(1, len(C)):
-                        acc += (C[k] / k) * uk.real
-                        uk = uk * u
-                    U -= 2.0 * acc
+            # sum_{k>=1} (C_k / k) omega^-k as one Horner recurrence
+            c = np.concatenate(([0.0], C[1:] / np.arange(1, len(C))))
+            U += C[0] * (math.log(half) + np.log(0.5 * np.abs(om)))
+            U -= 2.0 * _poly.polyval(1.0 / om, c).real
         return float(U[0]) if scalar else U.reshape(np.shape(z))
 
     def value(self, z):
@@ -171,10 +159,6 @@ def _hull_coord(K: CompactSet, t):
     return (2.0 * np.asarray(t, dtype=float) - K.lo - K.hi) / (K.hi - K.lo)
 
 
-def _quad_angles(order: int) -> np.ndarray:
-    return (np.arange(order) + 0.5) * math.pi / order
-
-
 def _nodes(lo: float, hi: float, ends, ct: np.ndarray):
     """Cosine nodes t on the interval or gap [lo, hi] and their endpoint
     weights sqrt(prod |t - e|) over the endpoints e of K other than lo, hi."""
@@ -194,7 +178,7 @@ def _system(K: CompactSet, order: int):
     iv = K.intervals
     N = len(iv)
     ends = [e for pair in iv for e in pair]
-    ct = np.cos(_quad_angles(order))
+    ct = np.cos((np.arange(order) + 0.5) * math.pi / order)
     # sign of h on component j: + on the rightmost, alternating leftward
     signs = np.array([(-1.0) ** (N - 1 - j) for j in range(N)])
 
@@ -211,7 +195,9 @@ def _system(K: CompactSet, order: int):
 
 
 def _solve(K: CompactSet, order: int, system):
-    """One equilibrium solve of the system built by _system(K, order)."""
+    """One equilibrium solve of the system built by _system(K, order):
+    h's coefficients, the component signs, the full (components x order)
+    array of the C_{j,k} and the least transplanted density sample."""
     A, signs, comps = system
     rhs = np.zeros(len(A))
     rhs[-1] = 1.0
@@ -220,64 +206,57 @@ def _solve(K: CompactSet, order: int, system):
     except np.linalg.LinAlgError as exc:
         raise GreenBuildError(f"equilibrium system singular at order {order}") from exc
 
-    # transplanted densities and their Chebyshev coefficients (cosines by row block)
-    vs = [signs[j] * _cheb.chebval(_hull_coord(K, t), coef) / (math.pi * root)
-          for j, (t, root) in enumerate(comps)]
-    vmin = min(float(v.min()) for v in vs)
-    theta = _quad_angles(order)
-    cheb_coeffs = [np.empty(order) for _ in vs]
-    for r0 in range(0, order, _COS_BLOCK):
-        cosk = np.cos(np.outer(np.arange(r0, min(r0 + _COS_BLOCK, order)), theta))
-        for C, v in zip(cheb_coeffs, vs):
-            C[r0:r0 + len(cosk)] = (math.pi / order) * (cosk @ v)
-    return coef, signs, cheb_coeffs, vmin
+    # transplanted densities, one row per component, and their Chebyshev
+    # coefficients (pi/order) sum_i v_i cos(k theta_i) as a DCT-II by one FFT
+    V = np.array([signs[j] * _cheb.chebval(_hull_coord(K, t), coef) / (math.pi * root)
+                  for j, (t, root) in enumerate(comps)])
+    F = np.fft.rfft(np.hstack([V, V[:, ::-1]]), axis=1)[:, :order]
+    C = (0.5 * math.pi / order) * (F * np.exp(-0.5j * math.pi * np.arange(order) / order)).real
+    return coef, signs, C, float(V.min())
 
 
-def _tail_size(cheb_coeffs) -> float:
-    worst = 0.0
-    for C in cheb_coeffs:
-        scale = max(1e-300, float(np.max(np.abs(C))))
-        worst = max(worst, float(np.max(np.abs(C[-3:]))) / scale)
-    return worst
+def _chop(C) -> np.ndarray:
+    """Series length of each row of C: up to its last coefficient above
+    _COEF_TAIL_TOL times its largest. A row with none (all NaN, say) keeps
+    its full length. A solve has converged iff every row leaves at least 3
+    coefficients beyond its cut."""
+    A = np.abs(C)
+    big = A > _COEF_TAIL_TOL * A.max(axis=1, keepdims=True)
+    return np.where(big.any(axis=1), C.shape[1] - np.argmax(big[:, ::-1], axis=1), C.shape[1])
 
 
 def build_green_model(K: CompactSet, quadrature_order: int = 256) -> GreenModel:
     """Solve the equilibrium problem for K, doubling the quadrature order
-    until the density's Chebyshev tail and the independently remeasured
-    mass/gap residuals are below tolerance (or the order cap is hit).
+    until every density series ends (see _chop) at least 3 coefficients
+    before the order and the independently remeasured mass/gap residuals
+    are below tolerance (or the order cap is hit). The model keeps each
+    series only up to its chop.
     """
     if quadrature_order < 16:
         raise ValidationError("quadrature_order must be at least 16")
     order = int(quadrature_order)
-    last_err = None
+    history = []
     system = _system(K, order)
     while True:
-        coef, signs, cheb_coeffs, vmin = _solve(K, order, system)
-        tail = _tail_size(cheb_coeffs)
+        coef, signs, C, vmin = _solve(K, order, system)
+        lengths = _chop(C)
         # residuals at twice the order; on doubling, that system is the next one
         system = _system(K, 2 * order)
         res = system[0] @ coef
         mass_err = abs(float(res[-1]) - 1.0)
         gap_err = float(np.max(np.abs(res[:-1]), initial=0.0)) * math.pi / (2 * order)
-        ok = tail <= _COEF_TAIL_TOL and mass_err <= 1e-10 and gap_err <= _RESIDUAL_TOL
-        if ok:
+        history.append({"order": order, "series_length": int(lengths.max()),
+                        "mass_residual": mass_err, "gap_residual": gap_err})
+        if np.all(lengths <= order - 3) and mass_err <= 1e-10 and gap_err <= _RESIDUAL_TOL:
             break
         if order >= _MAX_ORDER:
             raise GreenBuildError(
-                f"no convergence at order cap {order}: tail={tail:.2e} "
+                f"no convergence at order cap {order}: series_length={lengths.max()} "
                 f"mass_err={mass_err:.2e} gap_err={gap_err:.2e}")
         order *= 2
-        last_err = (tail, mass_err, gap_err)
 
-    # trim negligible coefficient tails (single interval collapses to k=0)
-    trimmed = []
-    for C in cheb_coeffs:
-        scale = float(np.max(np.abs(C)))
-        keep = np.flatnonzero(np.abs(C) > 1e-16 * scale)
-        cut = int(keep[-1]) + 1 if len(keep) else 1
-        trimmed.append(np.array(C[:cut]))
-
-    model = GreenModel(K, order, coef, 0.0, signs, trimmed)
+    model = GreenModel(K, order, coef, 0.0, signs,
+                       [row[:n].copy() for row, n in zip(C, lengths)])
     z0 = 0.5 * (K.intervals[0][0] + K.intervals[0][1])
     model.robin_constant = -model.potential(z0)
 
@@ -287,13 +266,7 @@ def build_green_model(K: CompactSet, quadrature_order: int = 256) -> GreenModel:
         raise GreenBuildError(f"potential not constant across components: {bres:.2e}")
     if vmin < -1e-10:
         raise GreenBuildError(f"equilibrium density went negative: {vmin:.2e}")
-    model.diagnostics = {
-        "order": order,
-        "coeff_tail": tail,
-        "mass_residual": mass_err,
-        "gap_residual": gap_err,
-        "boundary_residual": bres,
-        "density_min": vmin,
-        "doubling_history": last_err,
-    }
+    # order, series_length, mass_residual and gap_residual of the last solve
+    model.diagnostics = {**history[-1], "boundary_residual": bres,
+                         "density_min": vmin, "doubling_history": history}
     return model

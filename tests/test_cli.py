@@ -178,12 +178,29 @@ def test_config_structured_set(tmp_path, capsys):
     assert out.splitlines()[1] == "0,3.0"
 
 
+def test_config_loses_to_explicit_equals_form(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"set": "0,1;2,3"}))
+    code, out, _ = run(capsys, "--config", str(cfg), "points", "--n", "3",
+                       "--set=-1,-0.3;0.3,1")
+    assert code == 0
+    assert out == run(capsys, "points", "--n", "3", "--set=-1,-0.3;0.3,1")[1]
+    cfg.write_text(json.dumps({"tau": 0.7, "seed": 3, "func": 1, "command": "bound"}))
+    code, out, _ = run(capsys, "--config", str(cfg), "points", "--n", "4", "--tau=0.5")
+    assert code == 0
+    assert out == run(capsys, "points", "--n", "4", "--tau", "0.5", "--seed", "3")[1]
+    assert out != run(capsys, "points", "--n", "4", "--tau", "0.7", "--seed", "3")[1]
+
+
 def test_usage_errors(tmp_path, capsys):
     assert run(capsys, "points", "--n", "0")[0] == 2
     assert run(capsys, "points", "--n", "3", "--set", "nonsense")[0] == 2
     assert run(capsys, "points", "--n", "3", "--x0", "1.5",
                "--set=0,1;2,3")[0] == 2
     assert run(capsys, "itau", "--points-file", str(tmp_path / "missing.json"))[0] == 2
+    assert run(capsys, "lebesgue", "--n-range", "x:5") == (2, "", "error: bad range 'x:5'\n")
+    assert run(capsys, "points", "--n", "3", "--set", "a,b") == (
+        2, "", "error: interval 'a,b' is not 'lo,hi'\n")
     with pytest.raises(SystemExit) as exc:
         main(["lebesgue", "--n-range", "1:4", "--bogus"])
     assert exc.value.code == 2

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lejabounds import (GreenBuildError, ValidationError, build_green_model,
-                        green_interval_analytic, make_union)
+                        cantor_approx, green_interval_analytic, make_union)
 
 # closed forms for the unit interval
 LOG_2_PLUS_SQRT3 = 1.3169578969248166   # value at z = 2
@@ -145,3 +145,68 @@ def test_analytic_reference_properties():
     assert abs(green_interval_analytic(-1.0, 1.0, 0.3 + 0j)) < 1e-14
     assert green_interval_analytic(0.0, 4.0, 2.0 + 1e8j) == pytest.approx(
         math.log(1e8) - math.log(1.0), rel=1e-6)
+
+
+@pytest.mark.parametrize("a,b", [(-1.0, 1.0), (0.0, 1.0), (3.0, 7.0)])
+def test_single_interval_series_is_closed_form(a, b, rng):
+    m = build_green_model(make_union([(a, b)]))
+    assert [len(C) for C in m.cheb_coeffs] == [1]
+    x = rng.uniform(a - (b - a), b + (b - a), 2000)
+    y = rng.uniform(0.0, b - a, 2000)
+    y[::4] = 1e-12 * (b - a)
+    z = x + 1j * y
+    np.testing.assert_allclose(m.value(z), green_interval_analytic(a, b, z),
+                               rtol=0, atol=1e-14)
+
+
+SERIES_SETS = {
+    "two": make_union([(0.0, 1.0), (2.0, 3.0)]),
+    "sym": make_union([(-1.0, -0.3), (0.3, 1.0)]),
+    "cantor3": cantor_approx(3, 1.0 / 3.0),
+    "cantor5": cantor_approx(5, 1.0 / 3.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SERIES_SETS))
+def test_series_chopped_at_plateau(name):
+    m = build_green_model(SERIES_SETS[name])
+    assert m.quadrature_order == 256
+    assert max(len(C) for C in m.cheb_coeffs) <= 32
+
+
+@pytest.mark.parametrize("name", ["two", "sym", "cantor3"])
+def test_chopped_series_matches_full_series(name, rng):
+    from lejabounds.green import GreenModel, _solve, _system
+    K = SERIES_SETS[name]
+    m = build_green_model(K)
+    order = m.quadrature_order
+    coef, signs, C, _ = _solve(K, order, _system(K, order))
+    full = GreenModel(K, order, coef, 0.0, signs, list(C))
+    full.robin_constant = -full.potential(0.5 * sum(K.intervals[0]))
+    assert {len(c) for c in full.cheb_coeffs} == {order}
+    x = rng.uniform(K.lo - 0.2 * K.diam, K.hi + 0.2 * K.diam, 500)
+    y = K.diam * rng.choice([0.0, 1e-12, 1e-6, 1e-2, 0.3], 500)
+    np.testing.assert_allclose(m.value(x + 1j * y), full.value(x + 1j * y),
+                               rtol=0, atol=1e-12)
+    for d in np.geomspace(1e-5, 1.0, 8) * K.diam:
+        assert m.neighborhood_max(d) == pytest.approx(full.neighborhood_max(d), rel=1e-11)
+
+
+def test_chop_without_coefficient_above_bar_is_unconverged():
+    from lejabounds.green import _chop
+    C = np.zeros((3, 8))
+    C[0, :4] = [1.0, 0.5, 1e-13, 1e-14]
+    C[1] = np.nan
+    C[2, :] = 1.0
+    assert _chop(C).tolist() == [2, 8, 8]
+
+
+def test_doubling_history_one_entry_per_solve(K_two):
+    m = build_green_model(K_two, quadrature_order=16)
+    hist = m.diagnostics["doubling_history"]
+    assert [h["order"] for h in hist] == [16, 32]
+    assert hist[0]["series_length"] > 13
+    assert hist[-1]["series_length"] == m.diagnostics["series_length"] <= 29
+    assert set(hist[-1]) == {"order", "series_length", "mass_residual", "gap_residual"}
+    with pytest.raises(GreenBuildError, match=r"series_length=\d+ mass_err="):
+        build_green_model(make_union([(0.0, 1.0), (1.0 + 1e-6, 2.0)]))
