@@ -36,7 +36,7 @@ print("  naive cap  q log(1/tau) + (q-1) log 2 =",
       12 * math.log(1 / 0.7) + 11 * math.log(2.0))
 
 # the two-track trace records which reference the strategy tracked at
-# each step and the per-step distance ratios it accepted
+# each step and the reference pairs (-a, b) of its stages
 print()
 print("two-track stages (a = left spread, b = right spread):")
 for st in tt.stages:

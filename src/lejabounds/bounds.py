@@ -33,37 +33,35 @@ _LOG_HUGE = math.log(np.finfo(float).max)
 _WIDEN_RETRIES = 3
 
 
+def _exp(log_value: float) -> float:
+    """exp(log_value), or +inf past the largest double."""
+    return math.exp(log_value) if log_value <= _LOG_HUGE else math.inf
+
+
 @lru_cache(maxsize=None)
-def switching_constant(tol: float = 1e-10) -> float:
+def switching_constant() -> float:
     """Positive root of exp(exp(lam)) * (exp(lam) - 1) = 1, by bisection on
-    [0.1, 0.5] (the function is increasing there) until |f| <= tol."""
-    if not 0 < tol < 1:
-        raise ValidationError("tol must be in (0, 1)")
+    [0.1, 0.5] (the function is increasing there, negative at 0.1 and
+    positive at 0.5) until |f| <= 1e-10."""
 
     def f(lam: float) -> float:
         e = math.exp(lam)
         return math.exp(e) * (e - 1.0) - 1.0
 
     lo, hi = 0.1, 0.5
-    if f(lo) >= 0 or f(hi) <= 0:
-        raise ValidationError("root not bracketed")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
-        if abs(fm) <= tol:
+        if abs(fm) <= 1e-10:
             return mid
-        if fm > 0:
-            hi = mid
-        else:
-            lo = mid
+        lo, hi = (lo, mid) if fm > 0 else (mid, hi)
     return 0.5 * (lo + hi)
 
 
-def _exponent(tau: float, lam: float = None) -> float:
+def _exponent(tau: float) -> float:
     """Growth exponent 9/8 + 2 log(1/tau)/lam shared by the Lebesgue bound
-    and the switching spread bound; lam defaults to the switching constant."""
-    lam = switching_constant() if lam is None else float(lam)
-    return 9.0 / 8.0 + 2.0 * math.log(1.0 / tau) / lam
+    and the switching spread bound; lam is the switching constant."""
+    return 9.0 / 8.0 + 2.0 * math.log(1.0 / tau) / switching_constant()
 
 
 def _log_bound(diam: float, G: float, n: int, delta: float, tau: float) -> float:
@@ -83,8 +81,7 @@ def _check_args(n: int, delta: float, tau: float) -> None:
 def _bound(diam: float, G: float, n: int, delta: float, tau: float) -> float:
     """Bound value from an already computed G(delta); +inf past a double."""
     _check_args(n, delta, tau)
-    lv = _log_bound(diam, G, n, delta, tau)
-    return math.exp(lv) if lv <= _LOG_HUGE else math.inf
+    return _exp(_log_bound(diam, G, n, delta, tau))
 
 
 def lebesgue_bound(model: GreenModel, n: int, delta: float) -> float:

@@ -182,10 +182,12 @@ def _cmd_bound(args) -> int:
     return 0 if ok else 1
 
 
-def _random_instance(rng, q: int, tau: float, min_gap: float = 1e-3):
+def _random_instance(rng, q: int, tau: float):
+    if q < 1:
+        raise ValidationError("q must be at least 1")
     for _ in range(1000):
         pts = np.sort(rng.uniform(-1.0, 1.0, q + 1))
-        if np.min(np.diff(pts)) >= min_gap:
+        if np.min(np.diff(pts)) >= 1e-3:
             return SwitchingInstance(tuple(rng.permutation(pts)), tau)
     raise ValidationError("could not draw a separated instance")
 
@@ -223,6 +225,8 @@ def _cmd_itau(args) -> int:
         _emit(json.dumps(row, indent=2, sort_keys=True) + "\n", args.out)
         _write_meta(args.out, "itau", args, {"log_exact": row["log_exact"]})
         return 0
+    if args.seed < 0:
+        raise ValidationError("seed must be nonnegative")
     rng = np.random.default_rng(args.seed)
     lines = ["i,q,log_exact,log_naive,log_two_track,log_spread_bound,holds"]
     bad = 0

@@ -96,22 +96,20 @@ class CompactSet:
                 return lo, hi
         return self.lo, self.hi
 
-    def grid(self, density: float, min_per_component: int = 2) -> np.ndarray:
+    def grid(self, density: float) -> np.ndarray:
         """Sorted sample grid with spacing <= 1/density on every component.
 
         Each component contributes ceil(length * density) + 1 equispaced
-        points (at least min_per_component), endpoints always included.
+        points (at least 2), endpoints always included.
         """
         if not 0 < density < math.inf:
             raise ValidationError("density must be positive and finite")
-        counts = []
-        for lo, hi in self.intervals:
-            n = max(min_per_component, int(math.ceil((hi - lo) * density)) + 1)
-            counts.append(n)
+        # counts stay floats until checked: a huge length * density is inf
+        counts = [max(2.0, np.ceil((hi - lo) * density) + 1.0) for lo, hi in self.intervals]
         total = sum(counts)
         if total > MAX_GRID_POINTS:
-            raise ValidationError(f"grid of {total} points exceeds cap {MAX_GRID_POINTS}")
-        parts = [np.linspace(lo, hi, n) for (lo, hi), n in zip(self.intervals, counts)]
+            raise ValidationError(f"grid of {total:.0f} points exceeds cap {MAX_GRID_POINTS}")
+        parts = [np.linspace(lo, hi, int(n)) for (lo, hi), n in zip(self.intervals, counts)]
         return np.concatenate(parts)
 
     def to_spec(self) -> dict:

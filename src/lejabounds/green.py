@@ -225,16 +225,14 @@ def _chop(C) -> np.ndarray:
     return np.where(big.any(axis=1), C.shape[1] - np.argmax(big[:, ::-1], axis=1), C.shape[1])
 
 
-def build_green_model(K: CompactSet, quadrature_order: int = 256) -> GreenModel:
+def build_green_model(K: CompactSet) -> GreenModel:
     """Solve the equilibrium problem for K, doubling the quadrature order
-    until every density series ends (see _chop) at least 3 coefficients
-    before the order and the independently remeasured mass/gap residuals
-    are below tolerance (or the order cap is hit). The model keeps each
-    series only up to its chop.
+    from 256 until every density series ends (see _chop) at least 3
+    coefficients before the order and the independently remeasured mass/gap
+    residuals are below tolerance (or the order cap is hit). The model keeps
+    each series only up to its chop.
     """
-    if quadrature_order < 16:
-        raise ValidationError("quadrature_order must be at least 16")
-    order = int(quadrature_order)
+    order = 256
     history = []
     system = _system(K, order)
     while True:

@@ -7,8 +7,8 @@ verification sweeps call; the scalar wrappers exist for interactive use.
 
 The four facts:
 
-1. For a, b > 0 and real x outside the open interval (-e^-lam a, e^-lam b),
-   x != 0, the weighted geometric mean
+1. For a, b > 0, lam the switching constant and real x != 0 outside the
+   open interval (-e^-lam a, e^-lam b), the weighted geometric mean
 
        (|x + a| / |x|)^(b/(a+b)) * (|x - b| / |x|)^(a/(a+b)) <= 1.
 
@@ -59,9 +59,8 @@ def _report(log_lhs: float, log_rhs: float) -> IneqReport:
                       margin=margin, holds=bool(margin >= -TOL))
 
 
-def ineq1_log_margin(a, b, x, lam: float = None):
-    """log margin of the shifted-ratio geometric mean against 1."""
-    lam = switching_constant() if lam is None else float(lam)
+def ineq1_log_margin(a, b, x):
+    """log margin of the shifted-ratio geometric mean against 1 (fact 1)."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -70,7 +69,7 @@ def ineq1_log_margin(a, b, x, lam: float = None):
         raise ValidationError("offsets a, b must be positive")
     if np.any(x == 0):
         raise ValidationError("x = 0 is outside the domain")
-    es = math.exp(-lam)
+    es = math.exp(-switching_constant())
     inside = (x > -es * a) & (x < es * b)
     if np.any(inside):
         raise ValidationError("x inside the open exclusion interval "
@@ -83,8 +82,8 @@ def ineq1_log_margin(a, b, x, lam: float = None):
     return -log_lhs
 
 
-def ineq1(a: float, b: float, x: float, lam: float = None) -> IneqReport:
-    m = float(ineq1_log_margin(a, b, x, lam))
+def ineq1(a: float, b: float, x: float) -> IneqReport:
+    m = float(ineq1_log_margin(a, b, x))
     return _report(-m, 0.0)
 
 
@@ -138,15 +137,13 @@ class TightnessScan:
     best_value: float
 
 
-def ineq2_tightness_scan(b_lo: float = 1.0, b_hi: float = 1e3,
-                         grid: int = 4096) -> TightnessScan:
+def ineq2_tightness_scan() -> TightnessScan:
     """Maximize (B-1)/(B+1)^2, the exponent that makes the second
-    inequality sharp, over a log grid of B zoomed 8 times. The maximum is
-    1/8 at B = 3."""
+    inequality sharp, over a 4096-point log grid of B in [1, 1e3] zoomed 8
+    times. The maximum is 1/8 at B = 3."""
     def f(u):
         B = np.exp(u)
         return (B - 1.0) / (B + 1.0) ** 2
 
-    u, value = zoom_max(f, math.log(max(b_lo, 1e-6)), math.log(b_hi),
-                        (grid,) + (33,) * 8)
+    u, value = zoom_max(f, 0.0, math.log(1e3), (4096,) + (33,) * 8)
     return TightnessScan(best_b=math.exp(u), best_value=value)

@@ -142,6 +142,8 @@ def _generate(K: CompactSet, n: int, tau: float, rng_seed: int,
         raise ValidationError("n must be at least 1")
     if not 0.0 < tau <= 1.0:
         raise ValidationError("tau must lie in (0, 1]")
+    if rng_seed < 0:
+        raise ValidationError("seed must be nonnegative")
     grid = K.grid(grid_density)
     if n > len(grid):
         raise ValidationError(f"n = {n} exceeds the {len(grid)}-point grid")
@@ -203,19 +205,17 @@ class AuditReport:
     ratios: tuple
 
 
-def verify_quasi_leja(seq: PointSequence, K: CompactSet, tau: float = None,
-                      audit_density: float = None, slack: float = 1e-6) -> AuditReport:
-    """Re-audit a sequence against an independent, finer grid.
+def verify_quasi_leja(seq: PointSequence, K: CompactSet, tau: float = None) -> AuditReport:
+    """Re-audit a sequence on an independent grid of twice its density.
 
     Recomputes every step's refined maximum on the audit grid and compares
     each chosen point's product against it: ok iff every ratio is at least
-    tau * (1 - slack).
+    tau * (1 - 1e-6), tau defaulting to the sequence's own.
     """
     tau = seq.tau if tau is None else float(tau)
-    audit_density = 2.0 * seq.grid_density if audit_density is None else float(audit_density)
-    if audit_density < seq.grid_density:
-        raise ValidationError("audit grid must be at least as fine as generation")
-    grid = K.grid(audit_density)
+    if not 0.0 < tau <= 1.0:
+        raise ValidationError("tau must lie in (0, 1]")
+    grid = K.grid(2.0 * seq.grid_density)
     pts = np.asarray(seq.points)
     with np.errstate(divide="ignore"):
         cum = np.log(np.abs(grid - pts[0]))
@@ -233,7 +233,7 @@ def verify_quasi_leja(seq: PointSequence, K: CompactSet, tau: float = None,
             worst, worst_k = ratio, k
         with np.errstate(divide="ignore"):
             cum = cum + np.log(np.abs(grid - pts[k]))
-    ok = all(r >= tau * (1.0 - slack) for r in ratios)
+    ok = all(r >= tau * (1.0 - 1e-6) for r in ratios)
     return AuditReport(ok=ok, tau=tau, worst_ratio=worst if ratios else 1.0,
                        worst_step=worst_k, ratios=tuple(ratios))
 
@@ -255,17 +255,16 @@ def separation_floor(model: GreenModel, tau: float, n: int, delta: float) -> flo
     return tau * delta * math.exp(-n * model.neighborhood_max(delta))
 
 
-def check_separation(seq: PointSequence, model: GreenModel,
-                     n_deltas: int = 20, tol: float = 1e-12) -> SeparationReport:
-    """Check the sequence's min separation against the floor on a log grid
-    of deltas over (1e-4, diam K)."""
+def check_separation(seq: PointSequence, model: GreenModel) -> SeparationReport:
+    """Check the sequence's min separation against the best floor on a log
+    grid of 20 deltas over [1e-4, diam K]; ok iff it is at most 1e-12 below."""
     n = len(seq)
-    deltas = np.geomspace(1e-4, model.set.diam, n_deltas)
+    deltas = np.geomspace(1e-4, model.set.diam, 20)
     floors = [separation_floor(model, seq.tau, n, float(d)) for d in deltas]
     i = int(np.argmax(floors))
     sep = seq.min_separation()
     margin = sep - floors[i]
-    return SeparationReport(ok=bool(margin >= -tol), min_separation=sep,
+    return SeparationReport(ok=bool(margin >= -1e-12), min_separation=sep,
                             floor=floors[i], best_delta=float(deltas[i]),
                             margin=margin, deltas=tuple(map(float, deltas)),
                             floors=tuple(floors))

@@ -22,8 +22,8 @@ whenever the new point is closer to the origin; its value never exceeds
 tau^-q 2^(q-1). The two-track rule keeps a negative and a positive
 candidate reference (-a_s, b_s), switches only when a point lands inside
 (-e^-lam * a_s, e^-lam * b_s), and evaluates the cheapest admissible path
-through those states exactly by a two-state dynamic program; lam defaults
-to the switching constant. Its value obeys the spread bound
+through those states exactly by a two-state dynamic program; lam is the
+switching constant. Its value obeys the spread bound
 
     (2 / tau^2) * (D / Delta)^(9/8 + 2 log(1/tau) / lam)
 
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _LOG_HUGE, _exponent, switching_constant
+from .bounds import _exp, _exponent, switching_constant
 from .compact_set import ValidationError
 
 
@@ -83,7 +83,7 @@ class SwitchingResult:
 
     @property
     def value(self) -> float:
-        return math.exp(self.log_value) if self.log_value <= _LOG_HUGE else math.inf
+        return _exp(self.log_value)
 
 
 def chain_log_value(inst: SwitchingInstance, breakpoints) -> float:
@@ -142,8 +142,13 @@ def worst_case_instance(tau: float, q: int) -> SwitchingInstance:
     L = 1 + 1/tau, built to defeat greedy switching rules."""
     if q < 1:
         raise ValidationError("q must be at least 1")
+    if not 0.0 < tau <= 1.0:
+        raise ValidationError("tau must lie in (0, 1]")
     L = 1.0 + 1.0 / tau
-    pts = [0.0] + [(-L) ** (j - 1) for j in range(1, q + 1)]
+    try:
+        pts = [0.0] + [(-L) ** (j - 1) for j in range(1, q + 1)]
+    except OverflowError:
+        raise ValidationError(f"(-L)^(q-1) overflows a double at q = {q}") from None
     return SwitchingInstance(points=tuple(pts), tau=tau)
 
 
@@ -166,14 +171,12 @@ class StrategyTrace:
     m: int
     switches: tuple          # positions j where the reference changed
     references: tuple        # X_j for j = 0..q-1, recentered (and sign-normalized) frame
-    ratios: tuple            # log(|X_j - x_j| / |x_j|) for j = 1..q-1
     stages: tuple = ()       # two-track only
     flipped: bool = False
-    shrink: float = None
 
     @property
     def value(self) -> float:
-        return math.exp(self.log_value) if self.log_value <= _LOG_HUGE else math.inf
+        return _exp(self.log_value)
 
     def breakpoints(self) -> tuple:
         return (0, *sorted(self.switches), len(self.references))
@@ -182,43 +185,49 @@ class StrategyTrace:
 def _trace_log_value(y: np.ndarray, refs, switches, tau: float) -> float:
     """Value of an explicit reference assignment in the recentered frame."""
     q = len(y) - 1
-    m = len(switches) + 1
-    total = m * math.log(1.0 / tau) + math.log(abs(refs[0]))
+    total = (len(switches) + 1) * math.log(1.0 / tau) + math.log(abs(refs[0]))
     for j in range(1, q):
         total += math.log(abs(refs[j] - y[j])) - math.log(abs(y[j]))
     total -= math.log(abs(y[q]))
     return total
 
 
+def _switches(refs) -> tuple:
+    """Positions j where the reference changes, refs[j-1] != refs[j]."""
+    return tuple(j for j in range(1, len(refs)) if refs[j - 1] != refs[j])
+
+
+def _one_track(y: np.ndarray, refs: np.ndarray, js, shrink: float, lt: float) -> float:
+    """Single-reference rule over the descending steps js, starting from
+    X = refs[js[0]]: add log(|X - y_j| / |y_j|), switch X to y_j when
+    |y_j| < shrink * |X| (adding lt) and set refs[j-1] = X. Returns the sum."""
+    cost = 0.0
+    for j in js:
+        X = refs[j]
+        cost += math.log(abs(X - y[j])) - math.log(abs(y[j]))
+        if abs(y[j]) < shrink * abs(X):
+            X = y[j]
+            cost += lt
+        refs[j - 1] = X
+    return cost
+
+
 def naive_strategy(inst: SwitchingInstance) -> StrategyTrace:
     """Right-to-left greedy rule: switch whenever the new point is closer
     to the recentered origin than the current reference."""
     pts = np.asarray(inst.points)
-    q = inst.q
     y = pts - pts[0]
-    refs = np.empty(q)
-    refs[q - 1] = y[q]
-    switches = []
-    ratios = []
-    for j in range(q - 1, 0, -1):
-        X = refs[j]
-        ratios.append(math.log(abs(X - y[j])) - math.log(abs(y[j])))
-        if abs(y[j]) < abs(X):
-            refs[j - 1] = y[j]
-            switches.append(j)
-        else:
-            refs[j - 1] = X
-    switches.sort()
-    ratios.reverse()
-    lv = _trace_log_value(y, refs, switches, inst.tau)
-    return StrategyTrace(kind="naive", log_value=lv, m=len(switches) + 1,
-                         switches=tuple(switches), references=tuple(refs),
-                         ratios=tuple(ratios))
+    refs = np.empty(inst.q)
+    refs[-1] = y[-1]
+    _one_track(y, refs, range(inst.q - 1, 0, -1), 1.0, 0.0)
+    switches = _switches(refs)
+    return StrategyTrace(kind="naive", log_value=_trace_log_value(y, refs, switches, inst.tau),
+                         m=len(switches) + 1, switches=switches, references=tuple(refs))
 
 
-def two_track_strategy(inst: SwitchingInstance, shrink: float = None) -> StrategyTrace:
-    """Reference-pair rule with shrink threshold e^-lam, evaluated exactly
-    over its admissible paths by a two-state DP.
+def two_track_strategy(inst: SwitchingInstance) -> StrategyTrace:
+    """Reference-pair rule with shrink threshold e^-lam (lam is the switching
+    constant), evaluated exactly over its admissible paths by a two-state DP.
 
     After recentering and flipping signs so x_q > 0, points are consumed
     right to left. While everything is positive a single reference is kept,
@@ -229,146 +238,78 @@ def two_track_strategy(inst: SwitchingInstance, shrink: float = None) -> Strateg
     points outside never switch. The cheapest path through these states is
     the trace value.
     """
-    lam = switching_constant() if shrink is None else float(shrink)
-    if not lam > 0:
-        raise ValidationError("shrink rate must be positive")
-    es = math.exp(-lam)
+    es = math.exp(-switching_constant())
     pts = np.asarray(inst.points)
     q = inst.q
     y = pts - pts[0]
-    flipped = y[q] < 0
+    flipped = bool(y[q] < 0)
     if flipped:
         y = -y
     lt = math.log(1.0 / inst.tau)
-
     neg = np.flatnonzero(y[1:q] < 0)
     qprime = int(neg[-1]) + 1 if len(neg) else 0
 
     refs = np.empty(q)
-    ratios_head = {}
-    switches = []
-    # phase 1: positive tail, single track
-    X = y[q]
-    refs[q - 1] = X
-    cost_head = 0.0
-    for j in range(q - 1, qprime, -1):
-        ratios_head[j] = math.log(abs(X - y[j])) - math.log(abs(y[j]))
-        cost_head += ratios_head[j]
-        if y[j] < es * X:
-            X = y[j]
-            switches.append(j)
-            cost_head += lt
-        refs[j - 1] = X
-
+    refs[q - 1] = y[q]
+    cost_head = _one_track(y, refs, range(q - 1, qprime, -1), es, lt)
+    stages = []                    # [a, b, within-stage log_p, log_q] per stage
     if qprime == 0:
         lv = cost_head + lt + math.log(refs[0]) - math.log(y[q])
-        ratios = [ratios_head[j] for j in range(1, q)]
-        return StrategyTrace(kind="two_track", log_value=lv, m=len(switches) + 1,
-                             switches=tuple(sorted(switches)),
-                             references=tuple(refs), ratios=tuple(ratios),
-                             flipped=bool(flipped), shrink=lam)
+    else:
+        # from j = qprime on, track P references -a (entering it is a switch)
+        # and Q references b; steps[k] = (j, a, b after step j, parent of P,
+        # parent of Q) with 0 = P and 1 = Q
+        a, b = float(-y[qprime]), float(refs[qprime])
+        cost_head += math.log(a + b) - math.log(a)
+        cost_p, cost_q = lt, 0.0   # relative to cost_head
+        stages.append([a, b, 0.0, 0.0])
+        steps = [(qprime, a, b, 0, 1)]
+        for j in range(qprime - 1, 0, -1):
+            yj = float(y[j])
+            rp = math.log(abs(-a - yj)) - math.log(abs(yj))
+            rq = math.log(abs(b - yj)) - math.log(abs(yj))
+            pp, pq = 0, 1
+            if not -es * a < yj < es * b:
+                cost_p, cost_q = cost_p + rp, cost_q + rq
+                stages[-1][2] += rp
+                stages[-1][3] += rq
+            else:
+                from_p, from_q = cost_p + rp + lt, cost_q + rq + lt
+                best, parent = min(from_p, from_q), 0 if from_p <= from_q else 1
+                if yj > 0:         # Q switches to yj (from P or Q), P keeps -a
+                    cost_p, cost_q, b, pq = cost_p + rp, best, yj, parent
+                else:              # P switches to yj (from P or Q), Q keeps b
+                    cost_p, cost_q, a, pp = best, cost_q + rq, -yj, parent
+                stages.append([a, b, 0.0, 0.0])
+            steps.append((j, a, b, pp, pq))
+        end_p, end_q = cost_p + math.log(a), cost_q + math.log(b)
+        lv = cost_head + min(end_p, end_q) + lt - math.log(y[q])
+        track = 0 if end_p <= end_q else 1
+        for j, a, b, pp, pq in reversed(steps):
+            refs[j - 1] = -a if track == 0 else b
+            track = (pp, pq)[track]
 
-    # entering the two-track phase at j = qprime
-    b = float(X)
-    a = float(-y[qprime])
-    ratio_qp = math.log(a + b) - math.log(a)
-    cost_head += ratio_qp
-    ratios_head[qprime] = ratio_qp
-    cost_p, cost_q = lt, 0.0       # relative to cost_head
-    # per-stage bookkeeping: (a, b, within-stage sums, trigger info, parents)
-    stages_raw = [{"a": a, "b": b, "lp": 0.0, "lq": 0.0, "start": qprime}]
-    parents = []                   # (winner_for_P, winner_for_Q, trigger_j, sign)
-    trig_ratio = {}
-    for j in range(qprime - 1, 0, -1):
-        yj = float(y[j])
-        inside = -es * a < yj < es * b
-        rp = math.log(abs(-a - yj)) - math.log(abs(yj))
-        rq = math.log(abs(b - yj)) - math.log(abs(yj))
-        if not inside:
-            cost_p += rp
-            cost_q += rq
-            stages_raw[-1]["lp"] += rp
-            stages_raw[-1]["lq"] += rq
-            continue
-        trig_ratio[j] = (rp, rq)
-        if yj > 0:
-            new_p = cost_p + rp
-            from_p, from_q = cost_p + rp + lt, cost_q + rq + lt
-            new_q = min(from_p, from_q)
-            parents.append(("P", "P" if from_p <= from_q else "Q", j, +1))
-            b = yj
-        else:
-            new_q = cost_q + rq
-            from_p, from_q = cost_p + rp + lt, cost_q + rq + lt
-            new_p = min(from_p, from_q)
-            parents.append(("P" if from_p <= from_q else "Q", "Q", j, -1))
-            a = -yj
-        cost_p, cost_q = new_p, new_q
-        stages_raw.append({"a": a, "b": b, "lp": 0.0, "lq": 0.0, "start": j})
-
-    end_p = cost_p + math.log(a)
-    end_q = cost_q + math.log(b)
-    final = "P" if end_p <= end_q else "Q"
-    lv = cost_head + min(end_p, end_q) + lt - math.log(y[q])
-
-    # walk the parents backwards to recover the chosen track per stage
-    track = [final]
-    for (win_p, win_q, _j, _s) in reversed(parents):
-        track.append(win_p if track[-1] == "P" else win_q)
-    track.reverse()               # track[s] = side during stage s
-
-    # expand to per-step references and switch positions
-    for s, st in enumerate(stages_raw):
-        ref = -st["a"] if track[s] == "P" else st["b"]
-        stop = stages_raw[s + 1]["start"] if s + 1 < len(stages_raw) else 0
-        for j in range(st["start"] - 1, stop - 1, -1):
-            refs[j] = ref
-    if track[0] == "P":
-        switches.append(qprime)
-    for s, (win_p, win_q, j, sign) in enumerate(parents, start=1):
-        came = track[s - 1]
-        goes = track[s]
-        if goes == "Q" and sign > 0:
-            switches.append(j)     # switched to the new positive point
-        elif goes == "P" and sign < 0:
-            switches.append(j)     # switched to the new negative point
-        elif came != goes:
-            raise AssertionError("illegal transition reconstructed")
-
-    ratios = []
-    for j in range(1, q):
-        if j in ratios_head:
-            ratios.append(ratios_head[j])
-        elif j in trig_ratio:
-            ratios.append(trig_ratio[j][0] if refs[j] < 0 else trig_ratio[j][1])
-        else:
-            ratios.append(math.log(abs(refs[j] - y[j])) - math.log(abs(y[j])))
-
-    stages = []
-    for s, st in enumerate(stages_raw):
-        asz, bsz = st["a"], st["b"]
-        stages.append(StageInfo(a=asz, b=bsz, alpha=bsz / (asz + bsz),
-                                beta=asz / (asz + bsz),
-                                log_p=st["lp"], log_q=st["lq"]))
-    return StrategyTrace(kind="two_track", log_value=lv, m=len(switches) + 1,
-                         switches=tuple(sorted(switches)), references=tuple(refs),
-                         ratios=tuple(ratios), stages=tuple(stages),
-                         flipped=bool(flipped), shrink=lam)
+    switches = _switches(refs)
+    return StrategyTrace(
+        kind="two_track", log_value=lv, m=len(switches) + 1, switches=switches,
+        references=tuple(refs), flipped=flipped,
+        stages=tuple(StageInfo(a=sa, b=sb, alpha=sb / (sa + sb), beta=sa / (sa + sb),
+                               log_p=lp, log_q=lq) for sa, sb, lp, lq in stages))
 
 
-def spread_log_bound(d_max: float, d_min: float, tau: float, lam: float = None) -> float:
+def spread_log_bound(d_max: float, d_min: float, tau: float) -> float:
     if not (d_max > 0 and d_min > 0 and d_max >= d_min):
         raise ValidationError("need 0 < d_min <= d_max")
     if not 0.0 < tau <= 1.0:
         raise ValidationError("tau must lie in (0, 1]")
     return (math.log(2.0) - 2.0 * math.log(tau)
-            + _exponent(tau, lam) * (math.log(d_max) - math.log(d_min)))
+            + _exponent(tau) * (math.log(d_max) - math.log(d_min)))
 
 
-def spread_bound(d_max: float, d_min: float, tau: float, lam: float = None) -> float:
-    """(2/tau^2) (d_max/d_min)^(9/8 + 2 log(1/tau)/lam); +inf on overflow."""
-    lv = spread_log_bound(d_max, d_min, tau, lam)
-    return math.exp(lv) if lv <= _LOG_HUGE else math.inf
+def spread_bound(d_max: float, d_min: float, tau: float) -> float:
+    """(2/tau^2) (d_max/d_min)^(9/8 + 2 log(1/tau)/lam), lam the switching
+    constant; +inf on overflow."""
+    return _exp(spread_log_bound(d_max, d_min, tau))
 
 
 @dataclass(frozen=True)
@@ -381,17 +322,17 @@ class SpreadReport:
     breakpoints: tuple
 
 
-def check_spread_bound(inst: SwitchingInstance, tol: float = 1e-9) -> SpreadReport:
+def check_spread_bound(inst: SwitchingInstance) -> SpreadReport:
     """Exact functional against the spread bound with D, Delta read off the
     instance itself (D = max_j |x_0 - x_j|, Delta = min_{j<q}, Delta = D
-    when q = 1)."""
+    when q = 1); holds allows a relative excess of 1e-9."""
     pts = np.asarray(inst.points)
     gaps = np.abs(pts[1:] - pts[0])
     d_max = float(gaps.max())
     d_min = float(gaps[:-1].min()) if inst.q > 1 else d_max
     res = optimal_switching(inst)
     lb = spread_log_bound(d_max, d_min, inst.tau)
-    return SpreadReport(holds=bool(res.log_value <= lb + math.log1p(tol)),
+    return SpreadReport(holds=bool(res.log_value <= lb + math.log1p(1e-9)),
                         log_exact=res.log_value, log_bound=lb,
                         d_max=d_max, d_min=d_min, breakpoints=res.breakpoints)
 
@@ -406,11 +347,11 @@ class BasisSwitchReport:
     log_switching: float
 
 
-def basis_vs_switching(seq, k: int, x: float, tau: float = None,
-                       tol: float = 1e-9) -> BasisSwitchReport:
+def basis_vs_switching(seq, k: int, x: float, tau: float = None) -> BasisSwitchReport:
     """|L_k(x)| on the first n sequence points against the switching
     functional of (x_k, ..., x_{n-1}, x); the bound direction holds when the
-    sequence is tau-quasi-Leja. Skips (ok vacuously) when x hits a node."""
+    sequence is tau-quasi-Leja (ok allows a relative excess of 1e-9). Skips
+    (ok vacuously) when x hits a node."""
     pts = np.asarray(seq.points, dtype=float)
     n = len(pts)
     if not 0 <= k < n:
@@ -424,6 +365,6 @@ def basis_vs_switching(seq, k: int, x: float, tau: float = None,
                       - np.sum(np.log(np.abs(pts[k] - pts[others]))))
     inst = SwitchingInstance(points=tuple(pts[k:]) + (float(x),), tau=tau)
     res = optimal_switching(inst)
-    ok = log_basis <= res.log_value + math.log1p(tol)
+    ok = log_basis <= res.log_value + math.log1p(1e-9)
     return BasisSwitchReport(ok=bool(ok), skipped=False, k=k, x=float(x),
                              log_basis=log_basis, log_switching=res.log_value)

@@ -201,9 +201,26 @@ def test_usage_errors(tmp_path, capsys):
     assert run(capsys, "lebesgue", "--n-range", "x:5") == (2, "", "error: bad range 'x:5'\n")
     assert run(capsys, "points", "--n", "3", "--set", "a,b") == (
         2, "", "error: interval 'a,b' is not 'lo,hi'\n")
+    for q in ("0", "-1"):
+        assert run(capsys, "itau", "--q", q) == (2, "", "error: q must be at least 1\n")
+    assert run(capsys, "itau", "--worst", "--tau", "0") == (
+        2, "", "error: tau must lie in (0, 1]\n")
+    assert run(capsys, "itau", "--worst", "--q", "2000", "--tau", "0.5") == (
+        2, "", "error: (-L)^(q-1) overflows a double at q = 2000\n")
     with pytest.raises(SystemExit) as exc:
         main(["lebesgue", "--n-range", "1:4", "--bogus"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("points", "--n", "3", "--tau", "0.5", "--seed", "-1"), "seed must be nonnegative"),
+    (("itau", "--seed", "-1"), "seed must be nonnegative"),
+    (("points", "--n", "3", "--set=0,1e308"), "grid of inf points exceeds cap 5000000"),
+    (("verify", "--audit-tau", "nan"), "tau must lie in (0, 1]"),
+    (("verify", "--audit-tau", "2"), "tau must lie in (0, 1]"),
+])
+def test_bad_seed_huge_set_and_audit_tau_are_usage_errors(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", "error: %s\n" % message)
 
 
 def test_nonfinite_grid_density_is_usage_error(capsys):

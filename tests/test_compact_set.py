@@ -67,6 +67,14 @@ def test_grid_covers_components():
         assert lo in g and hi in g
 
 
+def test_grid_size_checked_before_int():
+    with pytest.raises(ValidationError, match="grid of inf points"):
+        make_union([(0.0, 1e308)]).grid(10.0)
+    with pytest.raises(ValidationError, match="grid of 5000002 points"):
+        make_union([(0.0, 1.0)]).grid(5_000_001.0)
+    assert make_union([(0.0, 1e-9)]).grid(10.0).tolist() == [0.0, 1e-9]
+
+
 def test_cantor_approx():
     K = cantor_approx(3, 1.0 / 3.0)
     assert K.n_components == 8

@@ -112,6 +112,13 @@ def test_audit_rejects_tampered_sequence(K_unit):
     assert not rep.ok
 
 
+@pytest.mark.parametrize("tau", [0.0, -0.5, 1.5, math.nan])
+def test_audit_rejects_tau_outside_unit_interval(K_unit, tau):
+    seq = quasi_leja_sequence(K_unit, 10, 0.9, rng_seed=0)
+    with pytest.raises(ValidationError, match=r"tau must lie in \(0, 1\]"):
+        verify_quasi_leja(seq, K_unit, tau=tau)
+
+
 def test_two_component_set_alternates(leja_two_100, K_two):
     pts = np.asarray(leja_two_100.points[:10])
     in_right = pts >= 2.0
@@ -166,3 +173,5 @@ def test_bad_args(K_unit):
         quasi_leja_sequence(K_unit, 5, 0.0)
     with pytest.raises(ValidationError):
         quasi_leja_sequence(K_unit, 5, 1.2)
+    with pytest.raises(ValidationError, match="seed must be nonnegative"):
+        quasi_leja_sequence(K_unit, 5, 0.5, rng_seed=-1)

@@ -207,6 +207,68 @@ def test_all_positive_track_bound(rng):
         assert tr.log_value <= cap + 1e-9
 
 
+def test_switches_are_where_references_change(rng):
+    insts = [rand_instance(rng, int(rng.integers(1, 25)), float(rng.uniform(0.3, 1.0)))
+             for _ in range(300)]
+    insts += [worst_case_instance(tau, q) for tau in (0.3, 0.5, 0.7, 0.9, 1.0)
+              for q in range(1, 25)]
+    for inst in insts:
+        for tr in (naive_strategy(inst), two_track_strategy(inst)):
+            refs = tr.references
+            assert len(refs) == inst.q
+            assert tr.switches == tuple(j for j in range(1, inst.q) if refs[j - 1] != refs[j])
+            assert tr.m == len(tr.switches) + 1
+
+
+# (log_value, m, switches, flipped, stage (a, b) pairs) per instance and rule,
+# recorded from the earlier per-stage implementation of both rules
+GOLDEN = {
+    ("worst_0.5_10", "naive"): (9.520610457665477, 10, (1, 2, 3, 4, 5, 6, 7, 8, 9), False, ()),
+    ("worst_0.5_10", "two_track"): (9.520610457665473, 6, (1, 3, 5, 7, 9), True, (
+        (6561.0, 19683.0), (6561.0, 2187.0), (729.0, 2187.0), (729.0, 243.0), (81.0, 243.0),
+        (81.0, 27.0), (9.0, 27.0), (9.0, 3.0), (1.0, 3.0))),
+    ("worst_0.7_12", "naive"): (8.073344676473816, 12, tuple(range(1, 12)), False, ()),
+    ("worst_0.7_12", "two_track"): (8.073344676473805, 9, (1, 3, 4, 5, 6, 7, 9, 10), True, (
+        (7136.886886854296, 17332.439582360435), (7136.886886854296, 2938.7181298811806),
+        (1210.0604064216625, 2938.7181298811806), (1210.0604064216625, 498.26016735009625),
+        (205.1659512618043, 498.26016735009625), (205.1659512618043, 84.48009757839),
+        (34.785922532278235, 84.48009757839), (34.785922532278235, 14.323615160349858),
+        (5.89795918367347, 14.323615160349858), (5.89795918367347, 2.428571428571429),
+        (1.0, 2.428571428571429))),
+    ("readme", "naive"): (2.6548056865833973, 3, (1, 2), False, ()),
+    ("readme", "two_track"): (2.6548056865833973, 3, (1, 2), False, ((3.0, 9.0), (3.0, 1.0))),
+    ("positive", "naive"): (-0.3918952950375332, 2, (3,), False, ()),
+    ("positive", "two_track"): (-0.3918952950375332, 2, (3,), False, ()),
+    ("flipped", "naive"): (0.721546655081643, 2, (5,), False, ()),
+    ("flipped", "two_track"): (0.721546655081643, 2, (5,), True, ((0.4, 0.4),)),
+    ("random40", "naive"): (-5.9625205204145875, 7, (11, 18, 34, 35, 36, 38), False, ()),
+    ("random40", "two_track"): (-18.986852386490074, 5, (11, 18, 36, 38), True, (
+        (0.4447919926605255, 0.8612541346460321), (0.4447919926605255, 0.4156245820933462),
+        (0.19587118743451137, 0.4156245820933462), (0.19587118743451137, 0.15801794255432644),
+        (0.19587118743451137, 0.11804764831500747))),
+}
+GOLDEN_INSTANCES = {
+    "worst_0.5_10": worst_case_instance(0.5, 10),
+    "worst_0.7_12": worst_case_instance(0.7, 12),
+    "readme": SwitchingInstance((0.0, 1.0, -3.0, 9.0), 0.5),
+    "positive": SwitchingInstance((0.0, 0.3, 1.7, 0.05, 2.4, 0.9, 0.2), 0.8),
+    "flipped": SwitchingInstance((0.5, -0.2, 1.1, 0.9, -0.7, 0.1, -1.3), 0.6),
+    "random40": SwitchingInstance(
+        tuple(map(float, np.random.default_rng(2024).uniform(-1, 1, 41))), 0.85),
+}
+
+
+@pytest.mark.parametrize("name,kind", sorted(GOLDEN))
+def test_strategy_golden_table(name, kind):
+    rule = {"naive": naive_strategy, "two_track": two_track_strategy}[kind]
+    tr = rule(GOLDEN_INSTANCES[name])
+    log_value, m, switches, flipped, stages = GOLDEN[name, kind]
+    assert tr.kind == kind
+    assert tr.log_value == pytest.approx(log_value, rel=1e-13, abs=0)
+    assert (tr.m, tr.switches, tr.flipped) == (m, switches, flipped)
+    assert tuple((st.a, st.b) for st in tr.stages) == stages
+
+
 def test_spread_bound_formula():
     lam = switching_constant()
     lb = spread_log_bound(4.0, 0.5, 0.5)
