@@ -166,7 +166,7 @@ def optimize_bound(model: GreenModel, n, tau: float = 1.0,
         grid = np.concatenate([lo, grid, hi])
         g_vals = np.concatenate([G(lo), g_vals, G(hi)])
 
-    bounds = np.where(logs <= _LOG_HUGE, np.exp(np.minimum(logs, _LOG_HUGE)), np.inf)
+    bounds = np.array([[_exp(v) for v in row] for row in logs])
     reports = [BoundReport(n=k, tau=tau, delta_grid=grid, g_values=g_vals,
                            bound_values=b, best_delta=float(grid[i]), best_bound=float(b[i]))
                for k, b, i in zip(ns, bounds, idx)]

@@ -1,9 +1,12 @@
 """Command line front end.
 
-Subcommands: points, lebesgue, bound, itau, verify. All output is
+Subcommands: points, lebesgue, bound, itau, verify. Subcommands compute,
+main writes: each _cmd_* returns (text, summary, ok), and main alone writes
+the text to stdout or --out, then the <out>.meta.json sidecar (command,
+effective parameters, summary), and exits 1 when ok is false. The one other
+write is bound --out-dir, one delta sweep CSV per n. All output is
 deterministic for fixed arguments (seeded randomness, no timestamps), so
-reruns are byte identical and diffable. Files written via --out get a
-sidecar <out>.meta.json recording the effective parameters.
+reruns are byte identical and diffable.
 
 Exit codes: 0 success, 1 a verification or bound check failed, 2 bad usage,
 3 the Green's function of the set could not be computed.
@@ -47,12 +50,11 @@ def _parse_range(spec: str):
 
 
 def _build_set(args) -> CompactSet:
-    if getattr(args, "cantor_depth", None) is not None:
+    if args.cantor_depth is not None:
         return cantor_approx(args.cantor_depth, args.cantor_ratio)
-    spec = getattr(args, "set_spec", None)
-    if spec:
+    if args.set_spec:
         pairs = []
-        for part in spec.split(";"):
+        for part in args.set_spec.split(";"):
             part = part.strip()
             if not part:
                 continue
@@ -72,114 +74,71 @@ def _build_sequence(K: CompactSet, n: int, args):
                                x0=args.x0, grid_density=args.grid_density)
 
 
-def _emit(text: str, out: str | None):
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
+def _lines(lines) -> str:
+    return "\n".join(lines) + "\n"
 
 
-def _write_meta(out: str | None, command: str, args, summary: dict):
-    if out is None:
-        return
-    params = {}
-    for k, v in sorted(vars(args).items()):
-        if k in ("func", "config"):
-            continue
-        params[k] = v
-    meta = {"command": command, "params": params, "summary": summary}
-    p = Path(out)
-    p.with_suffix(p.suffix + ".meta.json" if p.suffix == "" else ".meta.json") \
-        .write_text(json.dumps(meta, indent=2, sort_keys=True, default=str) + "\n")
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _add_set_args(sp):
-    sp.add_argument("--set", dest="set_spec", default=None,
-                    help="semicolon separated intervals, e.g. '-1,-0.3;0.3,1'")
-    sp.add_argument("--cantor-depth", type=int, default=None,
-                    help="use a Cantor-style construction of this depth instead of --set")
-    sp.add_argument("--cantor-ratio", type=float, default=1.0 / 3.0)
+def _prefix_lebesgue(K: CompactSet, seq, ns):
+    """Lebesgue report on K of the prefix of seq for every n in ns."""
+    return [InterpolationOperator.from_sequence(seq, n=n).lebesgue_constant(K) for n in ns]
 
 
-def _add_seq_args(sp):
-    sp.add_argument("--tau", type=float, default=1.0,
-                    help="quasi admissibility ratio; 1 means exact greedy")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--grid-density", type=float, default=DEFAULT_GRID_DENSITY)
-    sp.add_argument("--x0", default="right")
-
-
-def _cmd_points(args) -> int:
+def _cmd_points(args) -> tuple[str, dict, bool]:
     K = _build_set(args)
     seq = _build_sequence(K, args.n, args)
     if args.json:
-        _emit(json.dumps(seq.to_json(), indent=2, sort_keys=True) + "\n", args.out)
+        text = _json(seq.to_json())
     else:
-        lines = ["index,x"]
-        lines += ["%d,%s" % (i, _fmt(x)) for i, x in enumerate(seq.points)]
-        _emit("\n".join(lines) + "\n", args.out)
-    _write_meta(args.out, "points", args, {
-        "n": args.n,
-        "min_separation": seq.min_separation(),
-        "worst_ratio": min(seq.achieved_ratios) if seq.achieved_ratios else 1.0,
-    })
-    return 0
+        text = _lines(["index,x"] + ["%d,%s" % (i, _fmt(x)) for i, x in enumerate(seq.points)])
+    ratio = min(seq.achieved_ratios) if seq.achieved_ratios else 1.0
+    return text, {"n": args.n, "min_separation": seq.min_separation(), "worst_ratio": ratio}, True
 
 
-def _cmd_lebesgue(args) -> int:
+def _cmd_lebesgue(args) -> tuple[str, dict, bool]:
     K = _build_set(args)
     ns = _parse_range(args.n_range) if args.n_range else range(args.n, args.n + 1)
-    n_max = max(ns)
-    seq = _build_sequence(K, n_max, args)
+    reps = _prefix_lebesgue(K, _build_sequence(K, max(ns), args), ns)
     lines = ["n,lambda,argmax"]
-    worst = 0.0
-    for n in ns:
-        op = InterpolationOperator.from_sequence(seq, n=n)
-        rep = op.lebesgue_constant(K)
-        worst = max(worst, rep.lambda_n)
-        lines.append("%d,%s,%s" % (n, _fmt(rep.lambda_n), _fmt(rep.argmax_x)))
-    _emit("\n".join(lines) + "\n", args.out)
-    _write_meta(args.out, "lebesgue", args, {"max_lambda": worst})
-    return 0
+    lines += ["%d,%s,%s" % (n, _fmt(r.lambda_n), _fmt(r.argmax_x)) for n, r in zip(ns, reps)]
+    return _lines(lines), {"max_lambda": max(r.lambda_n for r in reps)}, True
 
 
-def _cmd_bound(args) -> int:
+def _cmd_bound(args) -> tuple[str, dict, bool]:
+    if args.n_range is None and args.deltas < 1:
+        raise ValidationError("deltas must be at least 1")
     K = _build_set(args)
     model = build_green_model(K)
     if args.n_range is None:
         # single n: delta sweep at tau = 1 and at the requested tau
-        n = args.n
-        deltas = np.geomspace(1e-4 * K.diam, K.diam, args.deltas)
         rows = ["delta,G,bound_tau1,bound_tau"]
-        for d in map(float, deltas):
+        for d in map(float, np.geomspace(1e-4 * K.diam, K.diam, args.deltas)):
             g = model.neighborhood_max(d)
-            b1 = _bound(K.diam, g, n, d, 1.0)
-            bt = _bound(K.diam, g, n, d, args.tau)
-            rows.append(",".join([_fmt(d), _fmt(g), _fmt(b1), _fmt(bt)]))
-        _emit("\n".join(rows) + "\n", args.out)
-        if args.out:
-            rep = optimize_bound(model, n, tau=args.tau)
-            _write_meta(args.out, "bound", args, {
-                "best_delta": rep.best_delta, "best_bound": rep.best_bound})
-        return 0
+            rows.append(",".join(map(_fmt, [d, g, _bound(K.diam, g, args.n, d, 1.0),
+                                            _bound(K.diam, g, args.n, d, args.tau)])))
+        summary = {}
+        if args.out:   # only the sidecar reads it, and it costs a full delta table
+            rep = optimize_bound(model, args.n, tau=args.tau)
+            summary = {"best_delta": rep.best_delta, "best_bound": rep.best_bound}
+        return _lines(rows), summary, True
 
     ns = _parse_range(args.n_range)
     seq = _build_sequence(K, max(ns), args)
-    rows = ["n,lambda,bound,best_delta"]
-    ok = True
-    for n, rep in zip(ns, optimize_bound(model, ns, tau=args.tau)):
-        op = InterpolationOperator.from_sequence(seq, n=n)
-        lam = op.lebesgue_constant(K).lambda_n
-        ok = ok and lam <= rep.best_bound
-        rows.append(",".join(["%d" % n, _fmt(lam), _fmt(rep.best_bound),
-                              _fmt(rep.best_delta)]))
-        if args.out_dir:
-            d = Path(args.out_dir)
-            d.mkdir(parents=True, exist_ok=True)
+    reps = optimize_bound(model, ns, tau=args.tau)
+    lams = [r.lambda_n for r in _prefix_lebesgue(K, seq, ns)]
+    if args.out_dir:
+        d = Path(args.out_dir)
+        d.mkdir(parents=True, exist_ok=True)
+        for n, rep in zip(ns, reps):
             rep.write_csv(d / ("sweep_n%d.csv" % n))
-    _emit("\n".join(rows) + "\n", args.out)
-    _write_meta(args.out, "bound", args, {"all_below_bound": ok})
-    return 0 if ok else 1
+    rows = ["n,lambda,bound,best_delta"]
+    rows += [",".join(["%d" % n, _fmt(lam), _fmt(rep.best_bound), _fmt(rep.best_delta)])
+             for n, lam, rep in zip(ns, lams, reps)]
+    ok = all(lam <= rep.best_bound for lam, rep in zip(lams, reps))
+    return _lines(rows), {"all_below_bound": ok}, ok
 
 
 def _random_instance(rng, q: int, tau: float):
@@ -206,46 +165,46 @@ def _itau_row(inst: SwitchingInstance) -> dict:
     }
 
 
-def _cmd_itau(args) -> int:
-    if args.points_file:
-        obj = json.loads(Path(args.points_file).read_text())
-        inst = SwitchingInstance.from_json(obj)
+def _every_step_log(q: int, tau: float) -> float:
+    """Closed form of log I_tau for the worst-case instance when every step
+    switches: q log(1/tau) + (q - 1) log((2 tau + 1) / (tau + 1))."""
+    return q * math.log(1.0 / tau) + (q - 1) * math.log((2.0 * tau + 1.0) / (tau + 1.0))
+
+
+def _cmd_itau(args) -> tuple[str, dict, bool]:
+    if args.points_file or args.worst:
+        # one instance as JSON; --points-file wins over --worst
+        if args.points_file:
+            inst = SwitchingInstance.from_json(json.loads(Path(args.points_file).read_text()))
+        else:
+            inst = worst_case_instance(args.tau, args.q)
         row = _itau_row(inst)
-        _emit(json.dumps(row, indent=2, sort_keys=True) + "\n", args.out)
-        _write_meta(args.out, "itau", args, {"log_exact": row["log_exact"]})
-        return 0
-    if args.worst:
-        inst = worst_case_instance(args.tau, args.q)
-        row = _itau_row(inst)
-        every = chain_log_value(inst, range(inst.q + 1))
-        closed = (inst.q * math.log(1.0 / inst.tau)
-                  + (inst.q - 1) * math.log((2.0 * inst.tau + 1.0) / (inst.tau + 1.0)))
-        row["log_every_step"] = every
-        row["log_every_step_closed_form"] = closed
-        _emit(json.dumps(row, indent=2, sort_keys=True) + "\n", args.out)
-        _write_meta(args.out, "itau", args, {"log_exact": row["log_exact"]})
-        return 0
+        if not args.points_file:
+            row["log_every_step"] = chain_log_value(inst, range(inst.q + 1))
+            row["log_every_step_closed_form"] = _every_step_log(inst.q, inst.tau)
+        return _json(row), {"log_exact": row["log_exact"]}, True
     if args.seed < 0:
         raise ValidationError("seed must be nonnegative")
+    if args.count < 1:
+        raise ValidationError("count must be at least 1")
     rng = np.random.default_rng(args.seed)
     lines = ["i,q,log_exact,log_naive,log_two_track,log_spread_bound,holds"]
     bad = 0
     for i in range(args.count):
-        inst = _random_instance(rng, args.q, args.tau)
-        row = _itau_row(inst)
+        row = _itau_row(_random_instance(rng, args.q, args.tau))
         holds = row["log_exact"] <= row["log_spread_bound"] + 1e-9
         bad += 0 if holds else 1
         lines.append(",".join([
             "%d" % i, "%d" % row["q"], _fmt(row["log_exact"]),
             _fmt(row["log_naive"]), _fmt(row["log_two_track"]),
             _fmt(row["log_spread_bound"]), "1" if holds else "0"]))
-    _emit("\n".join(lines) + "\n", args.out)
-    _write_meta(args.out, "itau", args, {"violations": bad})
-    return 0 if bad == 0 else 1
+    return _lines(lines), {"violations": bad}, bad == 0
 
 
 def _verify_checks(args):
-    """Yield (name, callable) pairs; each callable returns (ok, detail)."""
+    """Return (name, callable) pairs; each callable returns (ok, detail)."""
+    K = _build_set(args)
+    seq = quasi_leja_sequence(K, 40, args.tau if args.tau < 1.0 else 0.9, rng_seed=args.seed)
 
     def green_interval():
         K = make_union([(-1.0, 1.0)])
@@ -302,20 +261,13 @@ def _verify_checks(args):
             % (m1, m2, m3, scan.best_value, scan.best_b)
 
     def audit():
-        K = _build_set(args)
-        tau = args.tau if args.tau < 1.0 else 0.9
-        seq = quasi_leja_sequence(K, 40, tau, rng_seed=args.seed)
-        target = args.audit_tau if args.audit_tau is not None else tau
+        target = args.audit_tau if args.audit_tau is not None else seq.tau
         rep = verify_quasi_leja(seq, K, tau=target)
         return rep.ok, "worst ratio = %.6f at step %d (target tau = %g)" \
             % (rep.worst_ratio, rep.worst_step, target)
 
     def separation():
-        K = _build_set(args)
-        tau = args.tau if args.tau < 1.0 else 0.9
-        seq = quasi_leja_sequence(K, 40, tau, rng_seed=args.seed)
-        model = build_green_model(K)
-        rep = check_separation(seq, model)
+        rep = check_separation(seq, build_green_model(K))
         return rep.ok, "min gap = %.6e, floor = %.6e" % (rep.min_separation, rep.floor)
 
     def dp_vs_enumeration():
@@ -335,7 +287,7 @@ def _verify_checks(args):
         for tau in (1.0, 0.9, 0.5):
             inst = worst_case_instance(tau, 12)
             every = chain_log_value(inst, range(13))
-            closed = 12 * math.log(1.0 / tau) + 11 * math.log((2 * tau + 1) / (tau + 1))
+            closed = _every_step_log(12, tau)
             worst = max(worst, abs(every - closed) / abs(closed))
             slack = max(slack, optimal_switching(inst).log_value - every)
         ok = worst <= 1e-12 and slack <= 1e-9
@@ -351,22 +303,30 @@ def _verify_checks(args):
             ("worst-case-identity", worst_case)]
 
 
-def _cmd_verify(args) -> int:
-    failed = 0
-    out_lines = []
+def _cmd_verify(args) -> tuple[str, dict, bool]:
+    lines, failed = [], 0
     for name, fn in _verify_checks(args):
         ok, detail = fn()
         failed += 0 if ok else 1
-        out_lines.append("[verify] %s: %s  (%s)" % (name, "OK" if ok else "FAIL", detail))
-    text = "\n".join(out_lines) + "\n"
-    _emit(text, args.out)
-    if args.out:
-        sys.stdout.write(text)
-    _write_meta(args.out, "verify", args, {"failed": failed})
-    return 0 if failed == 0 else 1
+        lines.append("[verify] %s: %s  (%s)" % (name, "OK" if ok else "FAIL", detail))
+    return _lines(lines), {"failed": failed}, failed == 0
 
 
 def build_parser() -> argparse.ArgumentParser:
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None)
+    seq = argparse.ArgumentParser(add_help=False)
+    seq.add_argument("--set", dest="set_spec", default=None,
+                     help="semicolon separated intervals, e.g. '-1,-0.3;0.3,1'")
+    seq.add_argument("--cantor-depth", type=int, default=None,
+                     help="use a Cantor-style construction of this depth instead of --set")
+    seq.add_argument("--cantor-ratio", type=float, default=1.0 / 3.0)
+    seq.add_argument("--tau", type=float, default=1.0,
+                     help="quasi admissibility ratio; 1 means exact greedy")
+    seq.add_argument("--seed", type=int, default=0)
+    seq.add_argument("--grid-density", type=float, default=DEFAULT_GRID_DENSITY)
+    seq.add_argument("--x0", default="right")
+
     p = argparse.ArgumentParser(
         prog="lejabounds",
         description="Greedy point sequences on unions of intervals, their "
@@ -376,36 +336,28 @@ def build_parser() -> argparse.ArgumentParser:
                         "flags override it")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("points", help="generate a point sequence")
-    _add_set_args(sp)
-    _add_seq_args(sp)
+    sp = sub.add_parser("points", parents=[seq, out], help="generate a point sequence")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--out", default=None)
     sp.add_argument("--json", action="store_true",
                     help="emit full JSON instead of CSV")
     sp.set_defaults(func=_cmd_points)
 
-    sp = sub.add_parser("lebesgue", help="Lebesgue constants of sequence prefixes")
-    _add_set_args(sp)
-    _add_seq_args(sp)
+    sp = sub.add_parser("lebesgue", parents=[seq, out],
+                        help="Lebesgue constants of sequence prefixes")
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--n-range", default=None, help="inclusive range lo:hi")
-    sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_lebesgue)
 
-    sp = sub.add_parser("bound", help="certified Lebesgue bounds")
-    _add_set_args(sp)
-    _add_seq_args(sp)
+    sp = sub.add_parser("bound", parents=[seq, out], help="certified Lebesgue bounds")
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--n-range", default=None)
     sp.add_argument("--deltas", type=int, default=64,
                     help="delta sweep resolution for single-n mode")
-    sp.add_argument("--out", default=None)
     sp.add_argument("--out-dir", default=None,
                     help="also write per-n delta sweeps here (range mode)")
     sp.set_defaults(func=_cmd_bound)
 
-    sp = sub.add_parser("itau", help="switched distance-product functional")
+    sp = sub.add_parser("itau", parents=[out], help="switched distance-product functional")
     sp.add_argument("--tau", type=float, default=0.9)
     sp.add_argument("--q", type=int, default=10)
     sp.add_argument("--seed", type=int, default=0)
@@ -414,16 +366,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="use the adversarial geometric instance")
     sp.add_argument("--points-file", default=None,
                     help="JSON file with {points: [...], tau: t}")
-    sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_itau)
 
-    sp = sub.add_parser("verify", help="run the invariant suite")
-    _add_set_args(sp)
-    _add_seq_args(sp)
+    sp = sub.add_parser("verify", parents=[seq, out], help="run the invariant suite")
     sp.add_argument("--audit-tau", type=float, default=None,
                     help="audit generated sequences against this tau instead "
                          "of the generating one")
-    sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_verify)
     return p
 
@@ -448,17 +396,26 @@ def _apply_config(parser, args, argv):
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and write its text: to stdout, or to --out with a
+    .meta.json sidecar next to it (verify then also echoes to stdout)."""
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
         args = _apply_config(parser, parser.parse_args(argv), argv)
         if args.command in ("lebesgue", "bound") and not args.n_range and args.n is None:
             parser.error("one of --n or --n-range is required")
-        return args.func(args)
-    except ValidationError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+        text, summary, ok = args.func(args)
+        if args.out is not None:
+            out = Path(args.out)
+            out.write_text(text)
+            params = {k: v for k, v in vars(args).items() if k not in ("func", "config")}
+            meta = {"command": args.command, "params": params, "summary": summary}
+            out.with_suffix(".meta.json").write_text(
+                json.dumps(meta, indent=2, sort_keys=True, default=str) + "\n")
+        if args.out is None or args.command == "verify":
+            sys.stdout.write(text)
+        return 0 if ok else 1
+    except (ValidationError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
     except GreenBuildError as exc:

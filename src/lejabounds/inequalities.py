@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._search import zoom_max
-from .bounds import switching_constant
+from .bounds import _exp, switching_constant
 from .compact_set import ValidationError
 
 TOL = 1e-12
@@ -54,8 +54,7 @@ class IneqReport:
 
 def _report(log_lhs: float, log_rhs: float) -> IneqReport:
     margin = log_rhs - log_lhs
-    return IneqReport(lhs=math.exp(log_lhs) if log_lhs < 700 else math.inf,
-                      rhs=math.exp(log_rhs) if log_rhs < 700 else math.inf,
+    return IneqReport(lhs=_exp(log_lhs), rhs=_exp(log_rhs),
                       margin=margin, holds=bool(margin >= -TOL))
 
 

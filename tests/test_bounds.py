@@ -84,6 +84,13 @@ def test_optimize_bound_sequence_matches_single(model_two):
                 (one.tau, one.best_delta, one.best_bound)
 
 
+def test_optimized_bound_is_the_bound_at_its_delta(model_two):
+    # the table and the scalar bound share one exp, so they agree bitwise
+    for tau in (1.0, 0.9):
+        for rep in optimize_bound(model_two, range(2, 31), tau=tau):
+            assert rep.best_bound == quasi_lebesgue_bound(model_two, rep.n, tau, rep.best_delta)
+
+
 def test_optimize_bound_widens_shared_grid(model_unit):
     base = np.geomspace(1e-4 * 2.0, 2.0, 64)
     small, large = optimize_bound(model_unit, [1, 100])

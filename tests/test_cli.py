@@ -47,6 +47,27 @@ def test_points_deterministic_reruns(tmp_path, capsys):
     assert meta["summary"]["min_separation"] > 0
 
 
+@pytest.mark.parametrize("argv,summary_keys", [
+    (("points", "--n", "4", "--tau", "0.9"), {"n", "min_separation", "worst_ratio"}),
+    (("lebesgue", "--n-range", "2:4"), {"max_lambda"}),
+    (("bound", "--n", "3", "--deltas", "4"), {"best_delta", "best_bound"}),
+    (("bound", "--n-range", "2:3"), {"all_below_bound"}),
+    (("itau", "--q", "4", "--count", "3"), {"violations"}),
+    (("itau", "--worst", "--q", "4"), {"log_exact"}),
+    (("verify",), {"failed"}),
+])
+def test_out_file_holds_stdout_and_sidecar(tmp_path, capsys, argv, summary_keys):
+    code, stdout, _ = run(capsys, *argv)
+    out = tmp_path / "result.txt"
+    code_out, echoed, _ = run(capsys, *argv, "--out", str(out))
+    assert code == code_out == 0
+    assert out.read_text() == stdout
+    assert echoed == (stdout if argv[0] == "verify" else "")
+    meta = json.loads((tmp_path / "result.meta.json").read_text())
+    assert meta["command"] == argv[0]
+    assert set(meta["summary"]) == summary_keys
+
+
 def test_points_quasi_seeded(capsys):
     code, out1, _ = run(capsys, "points", "--n", "8", "--tau", "0.7", "--seed", "4")
     code2, out2, _ = run(capsys, "points", "--n", "8", "--tau", "0.7", "--seed", "4")
@@ -218,6 +239,10 @@ def test_usage_errors(tmp_path, capsys):
     (("points", "--n", "3", "--set=0,1e308"), "grid of inf points exceeds cap 5000000"),
     (("verify", "--audit-tau", "nan"), "tau must lie in (0, 1]"),
     (("verify", "--audit-tau", "2"), "tau must lie in (0, 1]"),
+    (("bound", "--n", "5", "--deltas", "-1"), "deltas must be at least 1"),
+    (("bound", "--n", "5", "--deltas", "0"), "deltas must be at least 1"),
+    (("itau", "--count", "-1"), "count must be at least 1"),
+    (("itau", "--count", "0"), "count must be at least 1"),
 ])
 def test_bad_seed_huge_set_and_audit_tau_are_usage_errors(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", "error: %s\n" % message)

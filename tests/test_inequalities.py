@@ -52,6 +52,11 @@ def test_ineq2_worked_example():
     assert rep.holds
 
 
+def test_report_is_finite_up_to_the_largest_double():
+    # lhs is about 1e305, near but below the largest double
+    assert math.isfinite(ineq2(1.0, 1.0, 1e-305).lhs)
+
+
 def test_ineq2_domain():
     with pytest.raises(ValidationError):
         ineq2(1.0, 1.0, 1.5)
