@@ -1,16 +1,16 @@
 """Lebesgue-constant growth bounds driven by the Green's function.
 
-For a Leja sequence of n+1 points on K the interpolation operator norm obeys
+For a tau-quasi-Leja sequence of n+1 points on K (tau = 1: exact Leja) the
+interpolation operator norm obeys, for every delta > 0,
 
-    Lambda_n <= 2 n (diam(K) / delta * exp(n G(delta)))^(9/8)
+    Lambda_n <= n (2/tau^2) (D / Delta)^(9/8 + 2 log(1/tau)/lam),
 
-for every delta > 0, where G(delta) is the max of the Green's function over
-the closed 2*delta neighborhood of K. For a tau-quasi-Leja sequence the same
-shape holds with prefactor 2/tau^2 * n, delta replaced by tau*delta, and the
-exponent enlarged to 9/8 + 2*log(1/tau)/lam, where lam is the switching
-constant (the positive root of exp(exp(lam))*(exp(lam)-1) = 1). At tau = 1
-the quasi form reduces to the plain form exactly; both are evaluated through
-one shared log-space core so the reduction is bitwise.
+where D = diam(K), Delta = tau delta exp(-n G(delta)) is the separation
+floor, G(delta) is the max of the Green's function over the closed
+2*delta neighborhood of K and lam is the switching constant. The factor
+after n is the switching spread bound (switching.spread_bound) at D/Delta;
+both are evaluated by one log-space core, _log_spread. At tau = 1 the bound
+reads 2 n (diam(K) / delta * exp(n G(delta)))^(9/8).
 
 Since any delta gives a valid bound and G(delta) depends on neither n nor
 tau, optimize_bound evaluates G once on one shared log grid of deltas and
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -31,6 +30,8 @@ from .green import GreenModel
 
 _LOG_HUGE = math.log(np.finfo(float).max)
 _WIDEN_RETRIES = 3
+_GRID_POINTS = 64
+_LAM = math.log1p(0.2784645427610738)   # W(1/e), the root of u e^u = 1/e
 
 
 def _exp(log_value: float) -> float:
@@ -38,35 +39,23 @@ def _exp(log_value: float) -> float:
     return math.exp(log_value) if log_value <= _LOG_HUGE else math.inf
 
 
-@lru_cache(maxsize=None)
 def switching_constant() -> float:
-    """Positive root of exp(exp(lam)) * (exp(lam) - 1) = 1, by bisection on
-    [0.1, 0.5] (the function is increasing there, negative at 0.1 and
-    positive at 0.5) until |f| <= 1e-10."""
-
-    def f(lam: float) -> float:
-        e = math.exp(lam)
-        return math.exp(e) * (e - 1.0) - 1.0
-
-    lo, hi = 0.1, 0.5
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if abs(fm) <= 1e-10:
-            return mid
-        lo, hi = (lo, mid) if fm > 0 else (mid, hi)
-    return 0.5 * (lo + hi)
+    """Positive root lam of exp(exp(lam)) * (exp(lam) - 1) = 1. With
+    u = e^lam - 1 the equation reads u e^u = 1/e, so lam = log1p(W(1/e)),
+    W the Lambert W function."""
+    return _LAM
 
 
-def _exponent(tau: float) -> float:
-    """Growth exponent 9/8 + 2 log(1/tau)/lam shared by the Lebesgue bound
-    and the switching spread bound; lam is the switching constant."""
-    return 9.0 / 8.0 + 2.0 * math.log(1.0 / tau) / switching_constant()
+def _log_spread(log_ratio: float, tau: float) -> float:
+    """log of (2/tau^2) R^(9/8 + 2 log(1/tau)/lam) at log R = log_ratio,
+    lam the switching constant: the switching spread bound with R = D/Delta,
+    and the Lebesgue bound over n with R = diam/(tau delta) e^{n G(delta)}."""
+    return (math.log(2.0) - 2.0 * math.log(tau)
+            + (9.0 / 8.0 + 2.0 * math.log(1.0 / tau) / _LAM) * log_ratio)
 
 
 def _log_bound(diam: float, G: float, n: int, delta: float, tau: float) -> float:
-    base = math.log(diam) - math.log(tau * delta) + n * G
-    return math.log(2.0) - 2.0 * math.log(tau) + math.log(n) + _exponent(tau) * base
+    return math.log(n) + _log_spread(math.log(diam) - math.log(tau * delta) + n * G, tau)
 
 
 def _check_args(n: int, delta: float, tau: float) -> None:
@@ -109,44 +98,27 @@ class BoundReport:
     best_delta: float
     best_bound: float
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("delta,G,bound\n")
-            for d, g, b in zip(self.delta_grid, self.g_values, self.bound_values):
-                fh.write(f"{d!r},{g!r},{b!r}\n")
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "tau": self.tau,
-            "delta_grid": list(map(float, self.delta_grid)),
-            "g_values": list(map(float, self.g_values)),
-            "bound_values": list(map(float, self.bound_values)),
-            "best_delta": float(self.best_delta),
-            "best_bound": float(self.best_bound),
-        }
-
-
-def optimize_bound(model: GreenModel, n, tau: float = 1.0,
-                   delta_grid=None, grid_points: int = 64):
+def optimize_bound(model: GreenModel, n, tau: float = 1.0, delta_grid=None):
     """Minimize the bound over a table of deltas, for one n or several.
 
     n is an int (returns one BoundReport) or a sequence of ints (returns a
     list of reports, one per n, all on the same grid). G is evaluated once
-    per delta of the table. Default grid: grid_points log-spaced deltas on
+    per delta of the table. Default grid: 64 log-spaced deltas on
     [1e-4 * diam, diam]; while some n has its minimum on an edge of it, that
     side is extended by a decade at the grid's log spacing (at most
-    _WIDEN_RETRIES times). An explicit delta_grid is used as given.
+    _WIDEN_RETRIES times). An explicit delta_grid of one or more positive
+    deltas is used as given, without widening.
     """
     single = np.ndim(n) == 0
     ns = [n] if single else list(n)
     _check_args(min(ns, default=0), 1.0, tau)
     diam = model.set.diam
     given = delta_grid is not None
-    grid = np.asarray(delta_grid if given else np.geomspace(1e-4 * diam, diam, grid_points),
+    grid = np.asarray(delta_grid if given else np.geomspace(1e-4 * diam, diam, _GRID_POINTS),
                       dtype=float)
-    if grid.ndim != 1 or len(grid) < 2 or np.any(grid <= 0):
-        raise ValidationError("delta grid must be 1-d with at least 2 positive deltas")
+    if grid.ndim != 1 or len(grid) < 1 or np.any(grid <= 0):
+        raise ValidationError("delta grid must be 1-d with at least 1 positive delta")
 
     def G(deltas):
         return np.array([model.neighborhood_max(float(d)) for d in deltas])

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import _bound, optimize_bound, switching_constant
+from .bounds import _bound, _check_args, optimize_bound, switching_constant
 from .compact_set import CompactSet, ValidationError, cantor_approx, from_spec, make_union
 from .green import GreenBuildError, build_green_model, green_interval_analytic
 from .inequalities import (ineq1_log_margin, ineq2_log_margin,
@@ -78,6 +78,11 @@ def _lines(lines) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _table(header: str, rows) -> str:
+    """CSV text: the header, then one line of repr floats per row."""
+    return _lines([header] + [",".join(map(_fmt, row)) for row in rows])
+
+
 def _json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -108,32 +113,30 @@ def _cmd_lebesgue(args) -> tuple[str, dict, bool]:
 
 
 def _cmd_bound(args) -> tuple[str, dict, bool]:
-    if args.n_range is None and args.deltas < 1:
+    ns = _parse_range(args.n_range) if args.n_range else None
+    if ns is None and args.deltas < 1:
         raise ValidationError("deltas must be at least 1")
+    _check_args(args.n if ns is None else ns[0], 1.0, args.tau)
     K = _build_set(args)
     model = build_green_model(K)
-    if args.n_range is None:
+    if ns is None:
         # single n: delta sweep at tau = 1 and at the requested tau
-        rows = ["delta,G,bound_tau1,bound_tau"]
-        for d in map(float, np.geomspace(1e-4 * K.diam, K.diam, args.deltas)):
-            g = model.neighborhood_max(d)
-            rows.append(",".join(map(_fmt, [d, g, _bound(K.diam, g, args.n, d, 1.0),
-                                            _bound(K.diam, g, args.n, d, args.tau)])))
-        summary = {}
-        if args.out:   # only the sidecar reads it, and it costs a full delta table
-            rep = optimize_bound(model, args.n, tau=args.tau)
-            summary = {"best_delta": rep.best_delta, "best_bound": rep.best_bound}
-        return _lines(rows), summary, True
+        rep = optimize_bound(model, args.n, args.tau,
+                             delta_grid=np.geomspace(1e-4 * K.diam, K.diam, args.deltas))
+        tau1 = [_bound(K.diam, g, args.n, d, 1.0) for d, g in zip(rep.delta_grid, rep.g_values)]
+        text = _table("delta,G,bound_tau1,bound_tau",
+                      zip(rep.delta_grid, rep.g_values, tau1, rep.bound_values))
+        return text, {"best_delta": rep.best_delta, "best_bound": rep.best_bound}, True
 
-    ns = _parse_range(args.n_range)
     seq = _build_sequence(K, max(ns), args)
     reps = optimize_bound(model, ns, tau=args.tau)
     lams = [r.lambda_n for r in _prefix_lebesgue(K, seq, ns)]
     if args.out_dir:
         d = Path(args.out_dir)
         d.mkdir(parents=True, exist_ok=True)
-        for n, rep in zip(ns, reps):
-            rep.write_csv(d / ("sweep_n%d.csv" % n))
+        for rep in reps:
+            (d / ("sweep_n%d.csv" % rep.n)).write_text(_table(
+                "delta,G,bound", zip(rep.delta_grid, rep.g_values, rep.bound_values)))
     rows = ["n,lambda,bound,best_delta"]
     rows += [",".join(["%d" % n, _fmt(lam), _fmt(rep.best_bound), _fmt(rep.best_delta)])
              for n, lam, rep in zip(ns, lams, reps)]

@@ -1,9 +1,10 @@
 """Elementary inequalities backing the switching-strategy estimates.
 
-Each check returns an IneqReport whose margin is log(rhs) - log(lhs), so
-"holds" means margin >= -TOL with TOL absorbing roundoff. Vectorized
-*_log_margin cores take array arguments and are what the Monte Carlo
-verification sweeps call; the scalar wrappers exist for interactive use.
+Each of facts 1-3 has one core that takes array arguments and returns
+(log lhs, log rhs). The vectorized *_log_margin functions return
+log(rhs) - log(lhs) and are what the Monte Carlo verification sweeps call;
+the scalar wrappers return an IneqReport of the same margin, where "holds"
+means margin >= -TOL with TOL absorbing roundoff.
 
 The four facts:
 
@@ -52,18 +53,16 @@ class IneqReport:
     holds: bool
 
 
-def _report(log_lhs: float, log_rhs: float) -> IneqReport:
+def _report(log_lhs, log_rhs) -> IneqReport:
+    log_lhs, log_rhs = float(log_lhs), float(log_rhs)
     margin = log_rhs - log_lhs
     return IneqReport(lhs=_exp(log_lhs), rhs=_exp(log_rhs),
                       margin=margin, holds=bool(margin >= -TOL))
 
 
-def ineq1_log_margin(a, b, x):
-    """log margin of the shifted-ratio geometric mean against 1 (fact 1)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    x = np.asarray(x, dtype=float)
-    a, b, x = np.broadcast_arrays(a, b, x)
+def _ineq1_logs(a, b, x):
+    """(log lhs, log rhs) of the shifted-ratio geometric mean against 1 (fact 1)."""
+    a, b, x = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, x)))
     if np.any(a <= 0) or np.any(b <= 0):
         raise ValidationError("offsets a, b must be positive")
     if np.any(x == 0):
@@ -78,50 +77,53 @@ def ineq1_log_margin(a, b, x):
     with np.errstate(divide="ignore"):
         log_lhs = (wa * (np.log(np.abs(x + a)) - np.log(np.abs(x)))
                    + wb * (np.log(np.abs(x - b)) - np.log(np.abs(x))))
-    return -log_lhs
+    return log_lhs, 0.0
 
 
-def ineq1(a: float, b: float, x: float) -> IneqReport:
-    m = float(ineq1_log_margin(a, b, x))
-    return _report(-m, 0.0)
-
-
-def ineq2_log_margin(A, B, a):
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    a = np.asarray(a, dtype=float)
-    A, B, a = np.broadcast_arrays(A, B, a)
+def _ineq2_logs(A, B, a):
+    A, B, a = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (A, B, a)))
     if np.any(a <= 0) or np.any(B <= 0) or np.any(a > A):
         raise ValidationError("need 0 < a <= A and B > 0")
     with np.errstate(divide="ignore"):
         log_lhs = (B / (A + B) * np.log((A - a) / a)
                    + A / (A + B) * np.log((B + a) / a))
     log_rhs = np.log(A / a) + 0.125 * np.log(np.minimum(A, B) / np.minimum(a, B))
+    return log_lhs, log_rhs
+
+
+def _ineq3_logs(a, b):
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    if np.any(a <= 0) or np.any(b <= 0):
+        raise ValidationError("need a, b > 0")
+    log_lhs = np.log(a + b) - (a * np.log(a) + b * np.log(b)) / (a + b)
+    return log_lhs, math.log(2.0)
+
+
+def ineq1_log_margin(a, b, x):
+    log_lhs, log_rhs = _ineq1_logs(a, b, x)
+    return log_rhs - log_lhs
+
+
+def ineq1(a: float, b: float, x: float) -> IneqReport:
+    return _report(*_ineq1_logs(a, b, x))
+
+
+def ineq2_log_margin(A, B, a):
+    log_lhs, log_rhs = _ineq2_logs(A, B, a)
     return log_rhs - log_lhs
 
 
 def ineq2(A: float, B: float, a: float) -> IneqReport:
-    A, B, a = float(A), float(B), float(a)
-    margin = float(ineq2_log_margin(A, B, a))
-    with np.errstate(divide="ignore"):
-        log_lhs = float(B / (A + B) * np.log((A - a) / a)
-                        + A / (A + B) * np.log((B + a) / a))
-    return _report(log_lhs, log_lhs + margin)
+    return _report(*_ineq2_logs(A, B, a))
 
 
 def ineq3_log_margin(a, b):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    a, b = np.broadcast_arrays(a, b)
-    if np.any(a <= 0) or np.any(b <= 0):
-        raise ValidationError("need a, b > 0")
-    log_lhs = np.log(a + b) - (a * np.log(a) + b * np.log(b)) / (a + b)
-    return math.log(2.0) - log_lhs
+    log_lhs, log_rhs = _ineq3_logs(a, b)
+    return log_rhs - log_lhs
 
 
 def ineq3(a: float, b: float) -> IneqReport:
-    margin = float(ineq3_log_margin(a, b))
-    return _report(math.log(2.0) - margin, math.log(2.0))
+    return _report(*_ineq3_logs(a, b))
 
 
 def ineq4() -> IneqReport:

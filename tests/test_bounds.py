@@ -107,8 +107,8 @@ def test_optimize_bound_widens_shared_grid(model_unit):
 
 
 def test_optimize_bound_improves_on_coarse_grid(model_unit):
-    coarse = optimize_bound(model_unit, 20, grid_points=8)
-    fine = optimize_bound(model_unit, 20, grid_points=128)
+    coarse = optimize_bound(model_unit, 20, delta_grid=np.geomspace(2e-4, 2.0, 8))
+    fine = optimize_bound(model_unit, 20, delta_grid=np.geomspace(2e-4, 2.0, 128))
     assert fine.best_bound <= coarse.best_bound * 1.05
 
 
@@ -118,12 +118,18 @@ def test_optimized_delta_interior_for_moderate_n(model_unit):
 
 
 def test_bound_csv(tmp_path, model_unit):
-    rep = optimize_bound(model_unit, 4, grid_points=16)
+    # the single-n CLI table is the report on the same delta grid
+    from lejabounds.cli import main
     p = tmp_path / "sweep.csv"
-    rep.write_csv(p)
+    assert main(["bound", "--n", "4", "--deltas", "16", "--tau", "0.9", "--out", str(p)]) == 0
     lines = p.read_text().splitlines()
-    assert lines[0] == "delta,G,bound"
+    assert lines[0] == "delta,G,bound_tau1,bound_tau"
     assert len(lines) == 17
+    rep = optimize_bound(model_unit, 4, tau=0.9, delta_grid=np.geomspace(2e-4, 2.0, 16))
+    rows = np.array([list(map(float, line.split(","))) for line in lines[1:]])
+    assert np.array_equal(rows[:, [0, 1, 3]], np.column_stack(
+        [rep.delta_grid, rep.g_values, rep.bound_values]))
+    assert np.all(rows[:, 2] < rows[:, 3])
 
 
 def test_overflow_returns_inf(model_unit):

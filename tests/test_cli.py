@@ -95,9 +95,13 @@ def test_bound_single_n(capsys):
     d, g, b1, bt = map(float, lines[3].split(","))
     assert 0 < d and 0 < g
     assert bt > b1   # relaxed admissibility always costs
+    code, out, _ = run(capsys, "bound", "--n", "5", "--deltas", "1")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 2 and float(lines[1].split(",")[0]) == 2e-4
 
 
-def test_bound_single_n_evaluates_G_once_per_delta(monkeypatch, capsys):
+def test_bound_single_n_evaluates_G_once_per_delta(monkeypatch, tmp_path, capsys):
     from lejabounds.green import GreenModel
     calls = []
     original = GreenModel.neighborhood_max
@@ -109,10 +113,20 @@ def test_bound_single_n_evaluates_G_once_per_delta(monkeypatch, capsys):
     monkeypatch.setattr(GreenModel, "neighborhood_max", counted)
     assert run(capsys, "bound", "--n", "5", "--deltas", "6")[0] == 0
     assert len(calls) == 6
+    # the sidecar's minimum is read off the same table: no second one
+    calls.clear()
+    out = tmp_path / "f.csv"
+    assert run(capsys, "bound", "--n", "5", "--deltas", "6", "--out", str(out))[0] == 0
+    assert len(calls) == 6
+    rows = [list(map(float, r.split(","))) for r in out.read_text().splitlines()[1:]]
+    best = min(rows, key=lambda r: r[3])
+    summary = json.loads((tmp_path / "f.meta.json").read_text())["summary"]
+    assert (summary["best_delta"], summary["best_bound"]) == (best[0], best[3])
     assert run(capsys, "bound", "--n", "5", "--deltas", "6", "--tau", "1.5")[0] == 2
 
 
-def test_bound_range_table(tmp_path, capsys):
+def test_bound_range_table(tmp_path, capsys, model_unit):
+    from lejabounds import optimize_bound
     sweeps = tmp_path / "sweeps"
     code, out, _ = run(capsys, "bound", "--n-range", "2:3",
                        "--out-dir", str(sweeps))
@@ -120,10 +134,13 @@ def test_bound_range_table(tmp_path, capsys):
     lines = out.splitlines()
     assert lines[0] == "n,lambda,bound,best_delta"
     assert len(lines) == 3
-    for n in (2, 3):
-        f = sweeps / f"sweep_n{n}.csv"
-        assert f.exists()
-        assert f.read_text().splitlines()[0] == "delta,G,bound"
+    # each sweep file is its degree's report, in plain floats
+    for rep in optimize_bound(model_unit, [2, 3]):
+        sweep = (sweeps / f"sweep_n{rep.n}.csv").read_text().splitlines()
+        assert sweep[0] == "delta,G,bound"
+        rows = np.array([list(map(float, line.split(","))) for line in sweep[1:]])
+        assert np.array_equal(rows, np.column_stack(
+            [rep.delta_grid, rep.g_values, rep.bound_values]))
     # the table certifies lambda <= bound, exit 0 already implies it
     for row in lines[1:]:
         _, lam, bound, _ = row.split(",")
@@ -294,3 +311,17 @@ def test_green_build_failure_exit_code(monkeypatch, capsys):
     assert code == 3
     assert out == ""
     assert err == "error: no convergence at order cap 4096\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("bound", "--n", "0"), "n must be at least 1"),
+    (("bound", "--n", "3", "--tau", "1.5"), "tau must lie in (0, 1]"),
+    (("bound", "--n-range", "2:3", "--tau", "0"), "tau must lie in (0, 1]"),
+    (("bound", "--n-range", "0:3"), "bad range '0:3'"),
+])
+def test_bound_usage_errors_come_before_the_green_build(monkeypatch, capsys, argv, message):
+    def fail(K, *args, **kwargs):
+        raise GreenBuildError("the Green build must not start")
+
+    monkeypatch.setattr("lejabounds.cli.build_green_model", fail)
+    assert run(capsys, *argv) == (2, "", "error: %s\n" % message)
