@@ -8,8 +8,11 @@ t_k(x) = w_k / (x - x_k) (Berrut & Trefethen, SIAM Rev. 46, 2004):
 interpolant sum t_k f_k / sum t, basis L_k = t_k / sum t, Lebesgue function
 sum |t| / |sum t|, each exact at node hits; the Lebesgue function runs in
 row blocks, so its memory does not grow with the number of points. The
-Lebesgue constant comes from one batched zoom over the pieces of K cut at
-the nodes.
+Lebesgue function has exactly one local maximum between adjacent nodes and
+is monotone outside the node hull (Brutman, J. Inequal. Appl. 1, 1997; the
+argument is in `lebesgue_constant`), so the Lebesgue constant comes from
+one bracketed Newton search per piece of K cut at the nodes, all pieces at
+once.
 """
 
 from __future__ import annotations
@@ -18,12 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import zoom_max
+from ._search import newton_max
 from .compact_set import CompactSet, ValidationError
 
-# samples per bracket (ends included) in each of the 13 rounds of the scan
-_SCAN_COUNTS = (10,) * 13
-# point x node entries of one row block of the Lebesgue function
+# point x node entries of one row block of the Lebesgue function or its slope
 _BLOCK_ENTRIES = 1 << 20
 
 
@@ -101,25 +102,71 @@ class InterpolationOperator:
             vals[r0:r0 + rows] = v
         return float(vals[0]) if np.ndim(x) == 0 else vals.reshape(np.shape(x))
 
-    def lebesgue_constant(self, K: CompactSet) -> "LebesgueReport":
-        """Max of the Lebesgue function over K by a batched zoom.
+    def _log_slope(self, x):
+        """(log Lambda)' and (log Lambda)'' at the points x, off the nodes.
 
-        Every component of K is cut at the nodes inside it; the pieces
-        (node gaps, end pieces and node-free components) are sampled at 10
-        points each, ends included. Then, 12 times, each piece's bracket
-        shrinks to the one or two sample cells around its best sample and
-        is sampled again at 10 points. No piece is dropped, since the
-        Lebesgue function is not known to be unimodal on a piece (Brutman,
-        1997). lambda_n is the best value seen; ties go to the smaller
+        Lambda = A / |B| with A = sum |t_k| and B = sum t_k, so
+        (log Lambda)' = A'/A - B'/B. With u_k = 1 / (x_k - x), t_k' = t_k u_k
+        and the j-th derivative of t_k is j! t_k u_k^j; the signs of the t_k
+        are fixed between nodes, so the same holds for |t_k|. Every ratio
+        comes from one row block of u.
+        """
+        g, gp = np.empty(len(x)), np.empty(len(x))
+        rows = max(1, _BLOCK_ENTRIES // self.n)
+        for r0 in range(0, len(x), rows):
+            u = 1.0 / (self.nodes - x[r0:r0 + rows, None])
+            ratios = []
+            # where sum t_k rounds to 0 the slope is not finite; newton_max bisects
+            with np.errstate(divide="ignore", invalid="ignore"):
+                for c in (np.abs(self._w * u), self._w * u):
+                    c0 = c.sum(axis=1)
+                    c *= u
+                    c1 = c.sum(axis=1) / c0
+                    c *= u
+                    ratios.append((c1, 2.0 * c.sum(axis=1) / c0 - c1 * c1))
+            (a1, a2), (b1, b2) = ratios
+            g[r0:r0 + rows], gp[r0:r0 + rows] = a1 - b1, a2 - b2
+        return g, gp
+
+    def lebesgue_constant(self, K: CompactSet) -> "LebesgueReport":
+        """Max of the Lebesgue function over K by one Newton search per piece.
+
+        Every component of K is cut at the nodes inside it into pieces, and
+        Lambda has at most one critical point on each, a maximum:
+          - between adjacent nodes x_i < x_{i+1}, Lambda equals
+            p = sum_k s_k L_k with the fixed signs s_k of L_k there. p has
+            degree n - 1, is 1 at both nodes, and alternates in sign at the
+            other nodes going outward, so each of the other n - 2 node gaps
+            holds a zero of p. Between consecutive zeros p' has an odd number
+            of zeros and deg p' = n - 2, so the interval between the zeros
+            around [x_i, x_{i+1}] holds exactly one critical point, which
+            Rolle puts inside the piece (for n = 2, p = 1 there);
+          - outside the node hull p alternates at all n nodes, so all zeros
+            of p and of p' lie inside the hull and |p| is monotone;
+          - a piece cut by a component end is a sub-interval of one of these.
+        So a piece peaks at a free end (a component end that is not a node)
+        where the slope of log Lambda points out of the piece, and otherwise
+        at its one interior critical point, found by `newton_max` on
+        (log Lambda)'. Node ends never are candidates, since Lambda = 1 there.
+        lambda_n is the largest Lebesgue function value at the candidates, so
+        lebesgue_function(argmax_x) == lambda_n; ties go to the smaller
         abscissa.
         """
         nodes = np.sort(self.nodes)
         cuts = [np.concatenate(([lo], nodes[(nodes > lo) & (nodes < hi)], [hi]))
                 for lo, hi in K.intervals]
-        x, lam = zoom_max(self.lebesgue_function,
-                          np.concatenate([c[:-1] for c in cuts]),
-                          np.concatenate([c[1:] for c in cuts]), _SCAN_COUNTS)
-        return LebesgueReport(n=self.n, lambda_n=lam, argmax_x=x)
+        lo = np.concatenate([c[:-1] for c in cuts])
+        hi = np.concatenate([c[1:] for c in cuts])
+        # slopes at the piece ends; a node end counts as pointing inward
+        ends = np.concatenate((lo, hi))
+        free = ~np.isin(ends, nodes)
+        g = np.concatenate((np.full(len(lo), np.inf), np.full(len(hi), -np.inf)))
+        g[free] = self._log_slope(ends[free])[0]
+        inner = (g[:len(lo)] > 0.0) & (g[len(lo):] < 0.0)
+        xs = np.concatenate((ends[free], newton_max(self._log_slope, lo[inner], hi[inner])))
+        vals = self.lebesgue_function(xs)
+        i = np.lexsort((xs, -vals))[0]
+        return LebesgueReport(n=self.n, lambda_n=float(vals[i]), argmax_x=float(xs[i]))
 
 
 @dataclass

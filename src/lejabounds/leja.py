@@ -58,12 +58,6 @@ class PointSequence:
             "achieved_ratios": list(map(float, self.achieved_ratios)),
         }
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("index,x\n")
-            for i, x in enumerate(self.points):
-                fh.write(f"{i},{x!r}\n")
-
     @classmethod
     def from_json(cls, obj: dict) -> "PointSequence":
         if isinstance(obj, str):

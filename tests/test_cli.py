@@ -77,6 +77,15 @@ def test_points_quasi_seeded(capsys):
     assert out1 != out3
 
 
+def test_points_csv_format(capsys):
+    code, out, _ = run(capsys, "points", "--n", "3")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "index,x"
+    assert lines[1] == "0,1.0"
+    assert len(lines) == 4
+
+
 def test_lebesgue_range(capsys):
     code, out, _ = run(capsys, "lebesgue", "--n-range", "1:4")
     assert code == 0

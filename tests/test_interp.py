@@ -1,8 +1,9 @@
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lejabounds import (InterpolationOperator, PointSequence, ValidationError,
@@ -77,8 +78,8 @@ def test_lebesgue_constant_equispaced_growth(K_unit):
 
 
 def test_lebesgue_scan_memory_bounded(K_unit):
-    # 1000 Chebyshev nodes: one round of the scan is 10010 points x 1000
-    # nodes, 80 MB for each dense matrix if evaluated in one block
+    # 1000 Chebyshev nodes: a Newton round over the 1001 pieces is 1001
+    # points x 1000 nodes, and the row blocks cap every such matrix at 8 MB
     op = InterpolationOperator(np.cos((2 * np.arange(1000) + 1) * np.pi / 2000))
     tracemalloc.start()
     try:
@@ -209,3 +210,54 @@ def test_lebesgue_function_at_least_one(n, x):
     nodes = np.cos(np.pi * np.arange(n) / (n - 1))
     op = InterpolationOperator(nodes)
     assert op.lebesgue_function(x) >= 1.0 - 1e-12
+
+
+_PROPERTY_SETS = {"unit": make_union([(-1.0, 1.0)]),
+                  "two": make_union([(0.0, 1.0), (2.0, 3.0)]),
+                  "cantor3": cantor_approx(3, 1.0 / 3.0)}
+
+
+@functools.lru_cache(maxsize=None)
+def _property_sequence(name, tau):
+    K = _PROPERTY_SETS[name]
+    if tau == 1.0:
+        return leja_sequence(K, 30)
+    return quasi_leja_sequence(K, 30, tau, rng_seed=0)
+
+
+def _dense_piece_max(op, K, per_piece=10_000):
+    """Max of the Lebesgue function over per_piece points (ends included)
+    on every piece of K cut at the nodes."""
+    best = -np.inf
+    for lo, hi in K.intervals:
+        cuts = np.unique(np.concatenate(([lo], op.nodes[(op.nodes > lo) & (op.nodes < hi)],
+                                         [hi])))
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            best = max(best, float(np.max(op.lebesgue_function(np.linspace(a, b, per_piece)))))
+    return best
+
+
+@given(st.sampled_from(sorted(_PROPERTY_SETS)), st.sampled_from(["random", "leja", "quasi"]),
+       st.integers(1, 30), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_lebesgue_constant_at_least_dense_scan(name, kind, n, seed):
+    K = _PROPERTY_SETS[name]
+    if kind == "random":
+        comps = np.array(K.intervals)
+        rng = np.random.default_rng(seed)
+        pick = comps[rng.integers(len(comps), size=n)]
+        nodes = pick[:, 0] + (pick[:, 1] - pick[:, 0]) * rng.random(n)
+        assume(len(np.unique(nodes)) == n)
+        op = InterpolationOperator(nodes)
+    else:
+        op = InterpolationOperator.from_sequence(
+            _property_sequence(name, 1.0 if kind == "leja" else 0.9), n)
+    rep = op.lebesgue_constant(K)
+    # Lambda = sum |t_k| / |sum t_k|, and the denominator sums terms of total
+    # size sum |t_k| = lambda |sum t_k|: its rounding error, relative to
+    # itself, is a small multiple of eps * lambda. Two points at the same
+    # maximum can evaluate that far apart, so no scan resolves Lambda closer
+    rel = max(1e-12, 64.0 * np.finfo(float).eps * rep.lambda_n)
+    assert rep.lambda_n >= (1.0 - rel) * _dense_piece_max(op, K)
+    assert op.lebesgue_function(rep.argmax_x) == rep.lambda_n
+    assert K.contains(rep.argmax_x)

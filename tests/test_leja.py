@@ -134,16 +134,6 @@ def test_json_roundtrip(K_unit):
     assert back.tau == seq.tau
 
 
-def test_csv_format(tmp_path, K_unit):
-    seq = leja_sequence(K_unit, 3)
-    p = tmp_path / "pts.csv"
-    seq.write_csv(p)
-    lines = p.read_text().splitlines()
-    assert lines[0] == "index,x"
-    assert lines[1] == "0,1.0"
-    assert len(lines) == 4
-
-
 def test_separation_floor_formula(model_unit):
     n, tau, delta = 10, 0.9, 0.01
     g = model_unit.neighborhood_max(delta)

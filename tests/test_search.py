@@ -1,6 +1,6 @@
 import numpy as np
 
-from lejabounds._search import zoom_max
+from lejabounds._search import newton_max, zoom_max
 
 
 def test_tie_goes_to_smaller_abscissa():
@@ -59,3 +59,58 @@ def test_degenerate_bracket():
     x, fx = zoom_max(lambda x: x * x, [0.5, 2.0], [0.5, 2.0], (4, 4))
     assert (x, fx) == (2.0, 4.0)
     assert zoom_max(lambda x: -x, 1.5, 1.5, (3,)) == (1.5, -1.5)
+
+
+def _counted(slope):
+    """slope, and the list of the point arrays it is called at."""
+    calls = []
+
+    def f(x):
+        calls.append(x.copy())
+        return slope(x)
+    return f, calls
+
+
+def test_newton_quadratic_stops_once_converged():
+    # on -(x - c)^2 the first Newton step lands on c exactly; the next call
+    # sees g == 0 and stops there. Bisecting that point away, since it is
+    # also the bracket end just moved, would run to the iteration cap
+    slope, calls = _counted(lambda x: (-2.0 * (x - 0.3), np.full_like(x, -2.0)))
+    x = newton_max(slope, [0.0, -5.0], [1.0, 5.0])
+    np.testing.assert_array_equal(x, [0.3, 0.3])
+    assert len(calls) <= 3
+
+
+def test_newton_maximum_at_bracket_end():
+    # -(x - 2)^2 rises over all of [0, 1]: every Newton step leaves the
+    # bracket, and bisection walks to the right end
+    slope, calls = _counted(lambda x: (-2.0 * (x - 2.0), np.full_like(x, -2.0)))
+    x = newton_max(slope, 0.0, 1.0)
+    assert 1.0 - 1e-12 <= x[0] <= 1.0
+    assert all(np.all((c > 0.0) & (c < 1.0)) for c in calls)
+
+
+def test_newton_plateau():
+    # a constant function: g == 0 stops at the first point, the midpoint
+    slope, calls = _counted(lambda x: (np.zeros_like(x), np.zeros_like(x)))
+    np.testing.assert_array_equal(newton_max(slope, [0.0, 2.0], [1.0, 4.0]), [0.5, 3.0])
+    assert len(calls) == 1
+
+
+def test_newton_zero_width_bracket():
+    slope, calls = _counted(lambda x: (-2.0 * (x - 0.3), np.full_like(x, -2.0)))
+    np.testing.assert_array_equal(newton_max(slope, [0.7, 0.0], [0.7, 1.0]), [0.7, 0.3])
+    # the empty bracket is never evaluated
+    assert all(0.7 not in c for c in calls)
+    assert len(newton_max(slope, [], [])) == 0
+
+
+def test_newton_brackets_are_independent():
+    # a steep and a flat concave peak: each bracket runs its own iteration
+    def slope(x):
+        return np.where(x < 5.0, np.cos(x), -np.sinh(x - 7.0)), \
+            np.where(x < 5.0, -np.sin(x), -np.cosh(x - 7.0))
+
+    x = newton_max(slope, [0.0, 5.5], [3.0, 9.0])
+    np.testing.assert_allclose(x, [np.pi / 2, 7.0], rtol=0.0, atol=1e-12)
+    np.testing.assert_array_equal(x[1:], newton_max(slope, 5.5, 9.0))
