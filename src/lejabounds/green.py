@@ -48,6 +48,8 @@ _COEF_TAIL_TOL = 1e-12
 _RESIDUAL_TOL = 1e-9
 _MAX_ORDER = 4096
 _CURVE_COUNTS = (256, 33, 33, 33, 33)   # samples per zoom round of G(delta)
+_NODE_BLOCK = 1 << 15                   # nodes per row block of _system
+_VANDER_BLOCK = 1 << 18                 # Chebyshev values per Vandermonde block
 
 
 class GreenBuildError(RuntimeError):
@@ -159,39 +161,53 @@ def _hull_coord(K: CompactSet, t):
     return (2.0 * np.asarray(t, dtype=float) - K.lo - K.hi) / (K.hi - K.lo)
 
 
-def _nodes(lo: float, hi: float, ends, ct: np.ndarray):
-    """Cosine nodes t on the interval or gap [lo, hi] and their endpoint
-    weights sqrt(prod |t - e|) over the endpoints e of K other than lo, hi."""
-    t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * ct
-    other = np.ones_like(t)
-    for e in ends:
-        if e != lo and e != hi:
-            other *= np.abs(t - e)
-    return t, np.sqrt(other)
-
-
 def _system(K: CompactSet, order: int):
     """Equilibrium system at one per-interval quadrature order: the matrix
     on the Chebyshev coefficients of h (one unscaled row per gap, whose right
     side is 0, then the mass row), the sign of h on each component, and
-    each component's nodes and weights."""
+    each component's nodes and weights.
+
+    Piece p (a component for even p, a gap for odd p) spans the endpoints
+    ends[p], ends[p + 1] of K. The pieces run in row blocks of at most
+    _NODE_BLOCK nodes: a block holds the cosine nodes t of its pieces and
+    multiplies in the endpoint weights sqrt(prod |t - e|) one end e at a
+    time, in place, with the factor exactly 1.0 on the two pieces that e
+    bounds. Each piece's row, sum_t T_k(t) / weight, is then one product
+    with its Chebyshev Vandermonde matrix, built _VANDER_BLOCK values at a
+    time. Only the components' nodes and weights outlive their block.
+    """
     iv = K.intervals
     N = len(iv)
-    ends = [e for pair in iv for e in pair]
+    ends = np.array([e for pair in iv for e in pair])
     ct = np.cos((np.arange(order) + 0.5) * math.pi / order)
     # sign of h on component j: + on the rightmost, alternating leftward
     signs = np.array([(-1.0) ** (N - 1 - j) for j in range(N)])
-
-    def weighted_basis_sum(t, root):
-        return _cheb.chebvander(_hull_coord(K, t), N - 1).T @ (1.0 / root)
-
-    rows = [weighted_basis_sum(*_nodes(glo, ghi, ends, ct))
-            for (_, glo), (ghi, _) in zip(iv, iv[1:])]
-    comps = [_nodes(lo, hi, ends, ct) for lo, hi in iv]
+    pieces = 2 * N - 1
+    sums = np.empty((pieces, N))
+    comps = []
+    rows = max(1, _NODE_BLOCK // order)
+    sub = max(1, _VANDER_BLOCK // (order * N))
+    for p0 in range(0, pieces, rows):
+        p1 = min(p0 + rows, pieces)
+        lo, hi = ends[p0:p1, None], ends[p0 + 1:p1 + 1, None]
+        t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * ct
+        root, factor = np.ones_like(t), np.empty_like(t)
+        for k, e in enumerate(ends):
+            np.abs(np.subtract(t, e, out=factor), out=factor)
+            factor[max(k - 1 - p0, 0):max(k + 1 - p0, 0)] = 1.0   # pieces k - 1, k
+            root *= factor
+        np.sqrt(root, out=root)
+        inv = np.divide(1.0, root, out=factor)
+        x = _hull_coord(K, t)
+        for s0 in range(0, len(t), sub):
+            V = _cheb.chebvander(x[s0:s0 + sub], N - 1)
+            for r, Vr in enumerate(V, s0):
+                sums[p0 + r] = Vr.T @ inv[r]
+        comps += [(t[r].copy(), root[r].copy()) for r in range(p0 % 2, len(t), 2)]
     mass_row = np.zeros(N)
-    for sign, comp in zip(signs, comps):
-        mass_row += sign * weighted_basis_sum(*comp) / order  # (1/pi)*(pi/order)
-    return np.vstack(rows + [mass_row]), signs, comps
+    for sign, row in zip(signs, sums[0::2]):
+        mass_row += sign * row / order  # (1/pi)*(pi/order)
+    return np.vstack([sums[1::2], mass_row]), signs, comps
 
 
 def _solve(K: CompactSet, order: int, system):
@@ -231,6 +247,11 @@ def build_green_model(K: CompactSet) -> GreenModel:
     coefficients before the order and the independently remeasured mass/gap
     residuals are below tolerance (or the order cap is hit). The model keeps
     each series only up to its chop.
+
+    At the order cap a series that has not ended is refused at once: the
+    residuals at twice the cap could not change the verdict, so that system
+    is never built, and the message gives the residuals of the previous
+    solve (measured on the cap's own system) and says so.
     """
     order = 256
     history = []
@@ -238,19 +259,23 @@ def build_green_model(K: CompactSet) -> GreenModel:
     while True:
         coef, signs, C, vmin = _solve(K, order, system)
         lengths = _chop(C)
-        # residuals at twice the order; on doubling, that system is the next one
-        system = _system(K, 2 * order)
-        res = system[0] @ coef
-        mass_err = abs(float(res[-1]) - 1.0)
-        gap_err = float(np.max(np.abs(res[:-1]), initial=0.0)) * math.pi / (2 * order)
-        history.append({"order": order, "series_length": int(lengths.max()),
-                        "mass_residual": mass_err, "gap_residual": gap_err})
-        if np.all(lengths <= order - 3) and mass_err <= 1e-10 and gap_err <= _RESIDUAL_TOL:
-            break
+        ended = bool(np.all(lengths <= order - 3))
+        if ended or order < _MAX_ORDER:
+            # residuals at twice the order; on doubling, that system is the next one
+            system = _system(K, 2 * order)
+            res = system[0] @ coef
+            mass_err = abs(float(res[-1]) - 1.0)
+            gap_err = float(np.max(np.abs(res[:-1]), initial=0.0)) * math.pi / (2 * order)
+            history.append({"order": order, "series_length": int(lengths.max()),
+                            "mass_residual": mass_err, "gap_residual": gap_err})
+            if ended and mass_err <= 1e-10 and gap_err <= _RESIDUAL_TOL:
+                break
         if order >= _MAX_ORDER:
+            last = history[-1]
+            note = "" if ended else f" (residuals of the order-{last['order']} solve)"
             raise GreenBuildError(
                 f"no convergence at order cap {order}: series_length={lengths.max()} "
-                f"mass_err={mass_err:.2e} gap_err={gap_err:.2e}")
+                f"mass_err={last['mass_residual']:.2e} gap_err={last['gap_residual']:.2e}{note}")
         order *= 2
 
     model = GreenModel(K, order, coef, 0.0, signs,

@@ -9,8 +9,9 @@ breakpoints 0 = n_0 < n_1 < ... < n_m = q has value
 The functional is the minimum over all chains. It upper-bounds Lagrange
 basis values at the tail of a tau-quasi-Leja sequence, which is what makes
 it worth computing exactly: the minimum is a shortest path on the DAG of
-breakpoints (edge a -> b costs log(1/tau) + sum_{a <= j < b} log|x_b - x_j|)
-and costs O(q^2) with running suffix sums.
+breakpoints (edge a -> b costs log(1/tau) + sum_{a <= j < b} log|x_b - x_j|).
+The dynamic program runs over row blocks of 64 breakpoints of the suffix
+table of those sums, in O(q^2) time and O(64 q) memory.
 
 Equivalently, after recentering x_0 = 0, a chain is a rule assigning each
 j < q a reference point X_j = x_{n_{l+1}} for n_l <= j < n_{l+1}, and
@@ -41,6 +42,8 @@ import numpy as np
 
 from .bounds import _exp, _log_spread, switching_constant
 from .compact_set import ValidationError
+
+_DP_ROWS = 64     # breakpoints per block of optimal_switching's suffix table
 
 
 @dataclass(frozen=True)
@@ -101,26 +104,38 @@ def chain_log_value(inst: SwitchingInstance, breakpoints) -> float:
 
 
 def optimal_switching(inst: SwitchingInstance) -> SwitchingResult:
-    """Exact minimum over all chains (shortest path over breakpoints)."""
+    """Exact minimum over all chains (shortest path over breakpoints).
+
+    The breakpoints b run in row blocks of _DP_ROWS. For a block
+    [b0, b1) one log and one reversed cumsum give the suffix table
+    S[b, a] = sum_{a <= j < b} log|x_b - x_j| for a < b1; the entries
+    j >= b are log 1 = 0, so every row sums exactly as its own per-b
+    suffix would. Each breakpoint then costs one add to the carried
+    dist + log(1/tau) and one argmin: O(q^2) time, O(_DP_ROWS q) memory.
+    """
     pts = np.asarray(inst.points)
     q = inst.q
     lt = math.log(1.0 / inst.tau)
-    dist = np.full(q + 1, np.inf)
-    dist[0] = 0.0
+    dist_lt = np.empty(q + 1)              # dist[a] + lt, the cost of leaving a
+    dist_lt[0] = lt
     pred = np.zeros(q + 1, dtype=int)
-    for b in range(1, q + 1):
-        logs = np.log(np.abs(pts[b] - pts[:b]))
-        suffix = np.cumsum(logs[::-1])[::-1]  # suffix[a] = sum_{j=a..b-1}
-        cand = dist[:b] + lt + suffix
-        i = int(np.argmin(cand))
-        dist[b] = cand[i]
-        pred[b] = i
+    for b0 in range(1, q + 1, _DP_ROWS):
+        b1 = min(b0 + _DP_ROWS, q + 1)
+        diff = np.abs(pts[b0:b1, None] - pts[:b1])
+        diff[np.arange(b0, b1)[:, None] <= np.arange(b1)] = 1.0   # j >= b
+        suffix = np.cumsum(np.log(diff)[:, ::-1], axis=1)[:, ::-1]
+        for r, b in enumerate(range(b0, b1)):
+            cand = dist_lt[:b] + suffix[r, :b]
+            i = cand.argmin()
+            dist_lt[b] = cand[i] + lt
+            pred[b] = i
     bp = [q]
     while bp[-1] != 0:
         bp.append(int(pred[bp[-1]]))
     bp.reverse()
+    dist_q = float(cand[i])                # the loop ends at b = q
     den = float(np.sum(np.log(np.abs(pts[0] - pts[1:]))))
-    return SwitchingResult(log_value=float(dist[q]) - den,
+    return SwitchingResult(log_value=dist_q - den,
                            breakpoints=tuple(bp), m=len(bp) - 1)
 
 

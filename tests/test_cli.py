@@ -322,6 +322,15 @@ def test_green_build_failure_exit_code(monkeypatch, capsys):
     assert err == "error: no convergence at order cap 4096\n"
 
 
+def test_green_build_refusal_exit_code(capsys):
+    # a gap of 1e-6 leaves the density series unended at the order cap
+    code, out, err = run(capsys, "bound", "--n", "3", "--set", "0,1;1.000001,2")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: no convergence at order cap 4096: series_length=")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 @pytest.mark.parametrize("argv,message", [
     (("bound", "--n", "0"), "n must be at least 1"),
     (("bound", "--n", "3", "--tau", "1.5"), "tau must lie in (0, 1]"),

@@ -207,3 +207,68 @@ def test_doubling_history_one_entry_per_solve():
     assert set(hist[-1]) == {"order", "series_length", "mass_residual", "gap_residual"}
     with pytest.raises(GreenBuildError, match=r"series_length=\d+ mass_err="):
         build_green_model(make_union([(0.0, 1.0), (1.0 + 1e-6, 2.0)]))
+
+
+def per_piece_system(K, order):
+    """The equilibrium system one piece at a time: each gap's and each
+    component's cosine nodes, the product of |t - e| over the other
+    endpoints e, and chebvander(...).T @ (1 / weight)."""
+    from numpy.polynomial import chebyshev
+
+    from lejabounds.green import _hull_coord
+    iv = K.intervals
+    N = len(iv)
+    ends = [e for pair in iv for e in pair]
+    ct = np.cos((np.arange(order) + 0.5) * math.pi / order)
+    signs = np.array([(-1.0) ** (N - 1 - j) for j in range(N)])
+
+    def nodes(lo, hi):
+        t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * ct
+        other = np.ones_like(t)
+        for e in ends:
+            if e != lo and e != hi:
+                other *= np.abs(t - e)
+        return t, np.sqrt(other)
+
+    def row(t, root):
+        return chebyshev.chebvander(_hull_coord(K, t), N - 1).T @ (1.0 / root)
+
+    rows = [row(*nodes(glo, ghi)) for (_, glo), (ghi, _) in zip(iv, iv[1:])]
+    comps = [nodes(lo, hi) for lo, hi in iv]
+    mass_row = np.zeros(N)
+    for sign, comp in zip(signs, comps):
+        mass_row += sign * row(*comp) / order
+    return np.vstack(rows + [mass_row]), signs, comps
+
+
+@pytest.mark.parametrize("order", [256, 4096])
+@pytest.mark.parametrize("K", [
+    cantor_approx(4, 1.0 / 3.0),
+    make_union([(k / 30, k / 30 + 0.01) for k in range(30)]),
+    make_union([(0.0, 1.0), (2.0, 3.0)]),
+], ids=["cantor4", "narrow30", "two"])
+def test_blocked_system_equals_per_piece_system(K, order):
+    from lejabounds.green import _system
+    A, signs, comps = _system(K, order)
+    A_ref, signs_ref, comps_ref = per_piece_system(K, order)
+    assert np.array_equal(A, A_ref)
+    assert np.array_equal(signs, signs_ref)
+    assert len(comps) == len(comps_ref) == K.n_components
+    for (t, root), (t_ref, root_ref) in zip(comps, comps_ref):
+        assert np.array_equal(t, t_ref) and np.array_equal(root, root_ref)
+
+
+def test_unended_series_at_cap_refused_without_the_doubled_system(monkeypatch):
+    from lejabounds import green
+    orders = []
+    system = green._system
+
+    def recording(K, order):
+        orders.append(order)
+        return system(K, order)
+
+    monkeypatch.setattr(green, "_system", recording)
+    with pytest.raises(GreenBuildError, match=r"series_length=4094 mass_err=\S+ gap_err=\S+ "
+                                              r"\(residuals of the order-2048 solve\)$"):
+        build_green_model(make_union([(0.0, 1.0), (1.0 + 1e-6, 2.0)]))
+    assert orders == [256, 512, 1024, 2048, 4096]

@@ -347,3 +347,52 @@ def test_worst_case_defeats_all_chains(q, tau):
     got = optimal_switching(wc).log_value
     assert got == pytest.approx(closed, rel=1e-12, abs=1e-12)
     assert got >= math.log(1.0 / tau) - 1e-12
+
+
+def per_breakpoint_dp(inst):
+    """The DP one breakpoint b at a time: a fresh suffix cumsum of
+    log|x_b - x_j| per b, the form the row-blocked kernel must reproduce."""
+    pts = np.asarray(inst.points)
+    q = inst.q
+    lt = math.log(1.0 / inst.tau)
+    dist = np.full(q + 1, np.inf)
+    dist[0] = 0.0
+    pred = np.zeros(q + 1, dtype=int)
+    for b in range(1, q + 1):
+        logs = np.log(np.abs(pts[b] - pts[:b]))
+        suffix = np.cumsum(logs[::-1])[::-1]
+        cand = dist[:b] + lt + suffix
+        i = int(np.argmin(cand))
+        dist[b] = cand[i]
+        pred[b] = i
+    bp = [q]
+    while bp[-1] != 0:
+        bp.append(int(pred[bp[-1]]))
+    den = float(np.sum(np.log(np.abs(pts[0] - pts[1:]))))
+    return float(dist[q]) - den, tuple(reversed(bp))
+
+
+@pytest.mark.parametrize("q", [1, 2, 63, 64, 65, 128, 129, 300])
+def test_row_blocked_dp_equals_per_breakpoint_dp(q, rng):
+    # block edges at multiples of 64 breakpoints; spreads up to e^+-20
+    insts = [worst_case_instance(tau, q) for tau in (1.0, 0.9, 0.5)]
+    for _ in range(6):
+        pts = rng.standard_normal(q + 1) * np.exp(rng.uniform(-20.0, 20.0, q + 1))
+        insts.append(SwitchingInstance(tuple(pts), float(rng.uniform(0.2, 1.0))))
+    for inst in insts:
+        res = optimal_switching(inst)
+        assert (res.log_value, res.breakpoints) == per_breakpoint_dp(inst)
+        assert res.m == len(res.breakpoints) - 1
+
+
+def test_dp_memory_is_row_blocked(rng):
+    import tracemalloc
+    inst = SwitchingInstance(tuple(rng.uniform(-1.0, 1.0, 3001)), 0.9)
+    tracemalloc.start()
+    try:
+        optimal_switching(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a q x q suffix table alone would take 72 MB
+    assert peak < 16e6
