@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compact_set import ValidationError
+from .compact_set import ValidationError, _check_tau
 from .green import GreenModel
 
 _LOG_HUGE = math.log(np.finfo(float).max)
@@ -63,8 +63,7 @@ def _check_args(n: int, delta: float, tau: float) -> None:
         raise ValidationError("n must be at least 1")
     if not delta > 0:
         raise ValidationError("delta must be positive")
-    if not 0.0 < tau <= 1.0:
-        raise ValidationError("tau must lie in (0, 1]")
+    _check_tau(tau)
 
 
 def _bound(diam: float, G: float, n: int, delta: float, tau: float) -> float:

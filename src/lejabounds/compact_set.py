@@ -25,6 +25,12 @@ class ValidationError(ValueError):
     """A set specification violated a construction precondition."""
 
 
+def _check_tau(tau: float) -> None:
+    """Every relaxation ratio tau of the package lies in (0, 1]."""
+    if not 0.0 < tau <= 1.0:
+        raise ValidationError("tau must lie in (0, 1]")
+
+
 @dataclass(frozen=True)
 class CompactSet:
     """Sorted union of disjoint closed intervals [lo_i, hi_i], lo_i < hi_i."""

@@ -27,7 +27,9 @@ recurrence in omega^-1. The series converges at the rate of the C_{j,k},
 so the evaluation stays spectrally accurate on and arbitrarily close to K,
 where plain quadrature against the log kernel would lose accuracy. For a
 single interval v_j is constant, the chopped series keeps only C_{j,0}, and
-the evaluation is the closed form log|omega|.
+the evaluation is the closed form log|omega|. The C_{j,k} are the model's
+only copy of the equilibrium measure, `density` included: h exists only
+inside the solve.
 
 g(z) = potential(z) + Robin constant, clamped at 0; capacity = exp(-Robin).
 """
@@ -81,9 +83,7 @@ class GreenModel:
 
     set: CompactSet
     quadrature_order: int
-    density_coeffs: np.ndarray          # h in Chebyshev basis on the hull
     robin_constant: float
-    component_signs: np.ndarray         # sign of h on each component
     cheb_coeffs: list                   # per component, C_{j,k} chopped by _chop
     diagnostics: dict = field(default_factory=dict)
 
@@ -91,23 +91,22 @@ class GreenModel:
     def capacity(self) -> float:
         return math.exp(-self.robin_constant)
 
-    def _h(self, t):
-        return _cheb.chebval(_hull_coord(self.set, t), self.density_coeffs)
-
     def density(self, t):
-        """Equilibrium density |h(t)| / (pi * sqrt(prod |t-a_j||t-b_j|)).
-
-        Defined for t strictly inside a component; blows up like an inverse
-        square root at component endpoints.
+        """Equilibrium density, read off the series of the component [a, b]
+        that holds t: (C_0 + 2 sum_k C_k T_k(zeta)) / (pi sqrt((t-a)(b-t))),
+        zeta the image of t in [-1, 1]; 0 off K. Blows up like an inverse
+        square root at component endpoints, where it raises.
         """
         ts = np.atleast_1d(np.asarray(t, dtype=float))
-        prod = np.ones_like(ts)
-        for lo, hi in self.set.intervals:
-            prod *= np.abs(ts - lo) * np.abs(ts - hi)
-        if np.any(prod <= 0):
+        if np.any(np.isin(ts, self.set.intervals)):
             raise ValidationError("density requested at a component endpoint")
-        out = np.abs(self._h(ts)) / (math.pi * np.sqrt(prod))
-        return float(out[0]) if np.isscalar(t) or np.ndim(t) == 0 else out.reshape(np.shape(t))
+        out = np.zeros(ts.shape)
+        for (lo, hi), C in zip(self.set.intervals, self.cheb_coeffs):
+            on = (ts > lo) & (ts < hi)
+            s = ts[on]
+            v = _cheb.chebval((2.0 * s - lo - hi) / (hi - lo), 2.0 * C) - C[0]
+            out[on] = v / (math.pi * np.sqrt((s - lo) * (hi - s)))
+        return float(out[0]) if np.ndim(t) == 0 else out.reshape(np.shape(t))
 
     def potential(self, z):
         """Logarithmic potential int log|z - t| dmu(t), scalar or array."""
@@ -212,8 +211,8 @@ def _system(K: CompactSet, order: int):
 
 def _solve(K: CompactSet, order: int, system):
     """One equilibrium solve of the system built by _system(K, order):
-    h's coefficients, the component signs, the full (components x order)
-    array of the C_{j,k} and the least transplanted density sample."""
+    h's coefficients, the full (components x order) array of the C_{j,k}
+    and the least transplanted density sample."""
     A, signs, comps = system
     rhs = np.zeros(len(A))
     rhs[-1] = 1.0
@@ -228,7 +227,7 @@ def _solve(K: CompactSet, order: int, system):
                   for j, (t, root) in enumerate(comps)])
     F = np.fft.rfft(np.hstack([V, V[:, ::-1]]), axis=1)[:, :order]
     C = (0.5 * math.pi / order) * (F * np.exp(-0.5j * math.pi * np.arange(order) / order)).real
-    return coef, signs, C, float(V.min())
+    return coef, C, float(V.min())
 
 
 def _chop(C) -> np.ndarray:
@@ -257,7 +256,7 @@ def build_green_model(K: CompactSet) -> GreenModel:
     history = []
     system = _system(K, order)
     while True:
-        coef, signs, C, vmin = _solve(K, order, system)
+        coef, C, vmin = _solve(K, order, system)
         lengths = _chop(C)
         ended = bool(np.all(lengths <= order - 3))
         if ended or order < _MAX_ORDER:
@@ -278,8 +277,7 @@ def build_green_model(K: CompactSet) -> GreenModel:
                 f"mass_err={last['mass_residual']:.2e} gap_err={last['gap_residual']:.2e}{note}")
         order *= 2
 
-    model = GreenModel(K, order, coef, 0.0, signs,
-                       [row[:n].copy() for row, n in zip(C, lengths)])
+    model = GreenModel(K, order, 0.0, [row[:n].copy() for row, n in zip(C, lengths)])
     z0 = 0.5 * (K.intervals[0][0] + K.intervals[0][1])
     model.robin_constant = -model.potential(z0)
 

@@ -105,27 +105,27 @@ class InterpolationOperator:
     def _log_slope(self, x):
         """(log Lambda)' and (log Lambda)'' at the points x, off the nodes.
 
-        Lambda = A / |B| with A = sum |t_k| and B = sum t_k, so
-        (log Lambda)' = A'/A - B'/B. With u_k = 1 / (x_k - x), t_k' = t_k u_k
-        and the j-th derivative of t_k is j! t_k u_k^j; the signs of the t_k
-        are fixed between nodes, so the same holds for |t_k|. Every ratio
-        comes from one row block of u.
+        Lambda = A / |B| with A = sum |t_k| and B = sum t_k. With
+        u_k = 1 / (x_k - x), t_k' = t_k u_k and the j-th derivative of t_k is
+        j! t_k u_k^j; the signs of the t_k are fixed between nodes, so the
+        same holds for |t_k|. B needs no sum of the t_k, which cancels near
+        clustered nodes: by the barycentric identity sum_k w_k / (x - x_k) =
+        c / prod_k (x - x_k) (Berrut & Trefethen, SIAM Rev. 46, 2004), so
+        (log|B|)' = sum u_k and (log|B|)'' = sum u_k^2. Both tracks come from
+        one row block of u.
         """
         g, gp = np.empty(len(x)), np.empty(len(x))
         rows = max(1, _BLOCK_ENTRIES // self.n)
         for r0 in range(0, len(x), rows):
             u = 1.0 / (self.nodes - x[r0:r0 + rows, None])
-            ratios = []
-            # where sum t_k rounds to 0 the slope is not finite; newton_max bisects
-            with np.errstate(divide="ignore", invalid="ignore"):
-                for c in (np.abs(self._w * u), self._w * u):
-                    c0 = c.sum(axis=1)
-                    c *= u
-                    c1 = c.sum(axis=1) / c0
-                    c *= u
-                    ratios.append((c1, 2.0 * c.sum(axis=1) / c0 - c1 * c1))
-            (a1, a2), (b1, b2) = ratios
-            g[r0:r0 + rows], gp[r0:r0 + rows] = a1 - b1, a2 - b2
+            c = np.abs(self._w * u)
+            a0 = c.sum(axis=1)
+            c *= u
+            a1 = c.sum(axis=1) / a0
+            c *= u
+            g[r0:r0 + rows] = a1 - u.sum(axis=1)
+            gp[r0:r0 + rows] = (2.0 * c.sum(axis=1) / a0 - a1 * a1
+                                - np.square(u, out=u).sum(axis=1))
         return g, gp
 
     def lebesgue_constant(self, K: CompactSet) -> "LebesgueReport":

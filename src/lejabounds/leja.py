@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compact_set import CompactSet, ValidationError
+from .compact_set import CompactSet, ValidationError, _check_tau
 from .green import GreenModel
 
 DEFAULT_GRID_DENSITY = 10_000.0
@@ -134,8 +134,7 @@ def _generate(K: CompactSet, n: int, tau: float, rng_seed: int,
               grid_density: float, x0) -> PointSequence:
     if n < 1:
         raise ValidationError("n must be at least 1")
-    if not 0.0 < tau <= 1.0:
-        raise ValidationError("tau must lie in (0, 1]")
+    _check_tau(tau)
     if rng_seed < 0:
         raise ValidationError("seed must be nonnegative")
     grid = K.grid(grid_density)
@@ -207,8 +206,7 @@ def verify_quasi_leja(seq: PointSequence, K: CompactSet, tau: float = None) -> A
     tau * (1 - 1e-6), tau defaulting to the sequence's own.
     """
     tau = seq.tau if tau is None else float(tau)
-    if not 0.0 < tau <= 1.0:
-        raise ValidationError("tau must lie in (0, 1]")
+    _check_tau(tau)
     grid = K.grid(2.0 * seq.grid_density)
     pts = np.asarray(seq.points)
     with np.errstate(divide="ignore"):

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import _exp, _log_spread, switching_constant
-from .compact_set import ValidationError
+from .compact_set import ValidationError, _check_tau
 
 _DP_ROWS = 64     # breakpoints per block of optimal_switching's suffix table
 
@@ -54,8 +54,7 @@ class SwitchingInstance:
     def __post_init__(self):
         if len(self.points) < 2:
             raise ValidationError("need at least x_0 and x_1")
-        if not 0.0 < self.tau <= 1.0:
-            raise ValidationError("tau must lie in (0, 1]")
+        _check_tau(self.tau)
         if not all(map(math.isfinite, self.points)):
             raise ValidationError("points must be finite")
         if len(set(self.points)) != len(self.points):
@@ -157,8 +156,7 @@ def worst_case_instance(tau: float, q: int) -> SwitchingInstance:
     L = 1 + 1/tau, built to defeat greedy switching rules."""
     if q < 1:
         raise ValidationError("q must be at least 1")
-    if not 0.0 < tau <= 1.0:
-        raise ValidationError("tau must lie in (0, 1]")
+    _check_tau(tau)
     L = 1.0 + 1.0 / tau
     try:
         pts = [0.0] + [(-L) ** (j - 1) for j in range(1, q + 1)]
@@ -315,8 +313,7 @@ def two_track_strategy(inst: SwitchingInstance) -> StrategyTrace:
 def spread_log_bound(d_max: float, d_min: float, tau: float) -> float:
     if not (d_max > 0 and d_min > 0 and d_max >= d_min):
         raise ValidationError("need 0 < d_min <= d_max")
-    if not 0.0 < tau <= 1.0:
-        raise ValidationError("tau must lie in (0, 1]")
+    _check_tau(tau)
     return _log_spread(math.log(d_max) - math.log(d_min), tau)
 
 

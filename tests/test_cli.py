@@ -305,6 +305,15 @@ def test_verify_suite_passes(capsys):
     assert all(": OK" in l for l in lines)
 
 
+def test_verify_reads_x0_and_grid_density(capsys):
+    assert run(capsys, "verify", "--x0", "5") == (
+        2, "", "error: x0 = 5.0 lies outside the set\n")
+    code, out, _ = run(capsys, "verify", "--set", "0,1;2,3", "--tau", "0.9",
+                       "--x0", "left", "--grid-density", "5000")
+    assert code == 0
+    assert run(capsys, "verify", "--set", "0,1;2,3", "--tau", "0.9")[1] != out
+
+
 def test_verify_audit_injection_fails(capsys):
     code, out, _ = run(capsys, "verify", "--tau", "0.7", "--audit-tau", "0.99")
     assert code == 1

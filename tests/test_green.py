@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lejabounds import (GreenBuildError, build_green_model, cantor_approx,
-                        green_interval_analytic, make_union)
+from lejabounds import (GreenBuildError, ValidationError, build_green_model,
+                        cantor_approx, green_interval_analytic, make_union)
 
 # closed forms for the unit interval
 LOG_2_PLUS_SQRT3 = 1.3169578969248166   # value at z = 2
@@ -71,6 +71,23 @@ def test_symmetric_union_density_closed_form(model_sym):
     np.testing.assert_allclose(got, expect, rtol=1e-9)
     got_neg = model_sym.density(-ts)
     np.testing.assert_allclose(got_neg, expect, rtol=1e-9)
+
+
+@pytest.mark.parametrize("K", [make_union([(0.0, 1.0), (2.0, 3.0)]),
+                               cantor_approx(3, 1.0 / 3.0)], ids=["two", "cantor3"])
+def test_density_zero_off_the_set_and_raises_at_endpoints(K):
+    m = build_green_model(K)
+    ends = np.array(K.intervals)
+    gaps = np.linspace(ends[:-1, 1], ends[1:, 0], 7)[1:-1].ravel()
+    outside = np.array([K.lo - 0.5, K.lo - 1e-9, K.hi + 1e-9, K.hi + 0.5])
+    off = np.concatenate([gaps, outside])
+    assert np.array_equal(m.density(off), np.zeros(len(off)))
+    assert m.density(float(gaps[0])) == 0.0
+    mids = ends.mean(axis=1)
+    assert np.all(m.density(mids) > 0)
+    for e in ends.ravel():
+        with pytest.raises(ValidationError, match="endpoint"):
+            m.density(e)
 
 
 def test_density_mass_one(model_two):
@@ -175,8 +192,8 @@ def test_chopped_series_matches_full_series(name, rng):
     K = SERIES_SETS[name]
     m = build_green_model(K)
     order = m.quadrature_order
-    coef, signs, C, _ = _solve(K, order, _system(K, order))
-    full = GreenModel(K, order, coef, 0.0, signs, list(C))
+    _, C, _ = _solve(K, order, _system(K, order))
+    full = GreenModel(K, order, 0.0, list(C))
     full.robin_constant = -full.potential(0.5 * sum(K.intervals[0]))
     assert {len(c) for c in full.cheb_coeffs} == {order}
     x = rng.uniform(K.lo - 0.2 * K.diam, K.hi + 0.2 * K.diam, 500)

@@ -1,5 +1,6 @@
 import functools
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -201,6 +202,41 @@ def test_barycentric_matches_log_space_reference(K):
         hits = np.column_stack([op.lagrange_basis(k, op.nodes) for k in range(n)])
         np.testing.assert_array_equal(hits, np.eye(n))
         np.testing.assert_array_equal(op.lebesgue_function(op.nodes), np.ones(n))
+
+
+def _exact_log_slope(nodes, x):
+    """(log Lambda)' and (log Lambda)'' at x from the product form of the
+    L_k in exact rational arithmetic."""
+    X, x = [Fraction(v) for v in nodes], Fraction(x)
+    lam = d1 = d2 = Fraction(0)
+    for k, xk in enumerate(X):
+        lk, s1, s2 = Fraction(1), Fraction(0), Fraction(0)
+        for xj in X[:k] + X[k + 1:]:
+            lk *= (x - xj) / (xk - xj)
+            s1 += 1 / (x - xj)
+            s2 += 1 / (x - xj) ** 2
+        sk = 1 if lk > 0 else -1
+        lam += sk * lk
+        d1 += sk * lk * s1
+        d2 += sk * lk * (s1 * s1 - s2)
+    g = d1 / lam
+    return float(g), float(d2 / lam - g * g), float(lam)
+
+
+def test_log_slope_accurate_near_clustered_nodes():
+    # five pairs of nodes 1e-7 apart; between the pairs Lambda is 2e6..2e7,
+    # where a sum of the barycentric terms loses about 1e-8 to cancellation
+    centers = np.array([-0.9, -0.4, 0.1, 0.5, 0.85])
+    nodes = np.concatenate([centers, centers + 1e-7])
+    op = InterpolationOperator(nodes)
+    lo, hi = centers[:-1] + 1e-7, centers[1:]
+    x = np.concatenate([lo + f * (hi - lo) for f in (0.25, 0.5, 0.75)])
+    g, gp = op._log_slope(x)
+    for xi, gi, gpi in zip(x, g, gp):
+        ref_g, ref_gp, lam = _exact_log_slope(nodes, xi)
+        assert lam > 1e6
+        assert gi == pytest.approx(ref_g, rel=1e-12, abs=0)
+        assert gpi == pytest.approx(ref_gp, rel=1e-12, abs=0)
 
 
 @given(st.integers(3, 9), st.floats(-0.99, 0.99))
