@@ -5,12 +5,16 @@ For K = union of N closed intervals [a_j, b_j] the equilibrium density is
 
     w(t) = |h(t)| / (pi * sqrt(prod_j |t - a_j| |t - b_j|)),    t in K,
 
-where h is a real polynomial of degree N-1. Its N coefficients solve an
-N x N linear system: one vanishing-integral condition per gap (which makes
-the potential constant across components) and total mass one. All integrals
-use the cosine substitution t = m + w*cos(theta) on the interval or gap at
-hand, which absorbs the endpoint singularities and turns the midpoint rule
-in theta into Gauss-Chebyshev quadrature with spectral accuracy.
+where h(t) = s * prod_g (t - c_g) has one zero c_g in each of the N-1 gaps
+and s makes the mass one (Embree & Trefethen, SIAM Rev. 41, 1999). The
+zeros solve the gap conditions int_gap h / sqrt|q| = 0 (q the product over
+all endpoints), which make the potential constant across components. All
+integrals use the cosine substitution t = m + w*cos(theta) on the interval
+or gap at hand, which absorbs the endpoint singularities and turns the
+midpoint rule in theta into Gauss-Chebyshev quadrature with spectral
+accuracy. A gap condition makes c_g the mean of the gap's nodes under the
+weights |h(t) / (t - c_g)| / sqrt|q(t)| > 0 (see _solve). Products are sums
+of logs, so w >= 0 holds by construction and nothing under- or overflows.
 
 The logarithmic potential is then evaluated through the Chebyshev
 coefficients C_{j,k} of the transplanted density v_j(theta): with
@@ -28,8 +32,8 @@ so the evaluation stays spectrally accurate on and arbitrarily close to K,
 where plain quadrature against the log kernel would lose accuracy. For a
 single interval v_j is constant, the chopped series keeps only C_{j,0}, and
 the evaluation is the closed form log|omega|. The C_{j,k} are the model's
-only copy of the equilibrium measure, `density` included: h exists only
-inside the solve.
+only copy of the equilibrium measure, `density` included: the zeros of h
+exist only inside the solve.
 
 g(z) = potential(z) + Robin constant, clamped at 0; capacity = exp(-Robin).
 """
@@ -50,8 +54,7 @@ _COEF_TAIL_TOL = 1e-12
 _RESIDUAL_TOL = 1e-9
 _MAX_ORDER = 4096
 _CURVE_COUNTS = (256, 33, 33, 33, 33)   # samples per zoom round of G(delta)
-_NODE_BLOCK = 1 << 15                   # nodes per row block of _system
-_VANDER_BLOCK = 1 << 18                 # Chebyshev values per Vandermonde block
+_TABLE_BLOCK = 1 << 13                  # entries per row block of a node-to-point table
 
 
 class GreenBuildError(RuntimeError):
@@ -155,79 +158,74 @@ class GreenModel:
         return zoom_max(on_curve, lo, hi, _CURVE_COUNTS)[1]
 
 
-def _hull_coord(K: CompactSet, t):
-    """Affine image of t in [-1, 1] coordinates of the hull of K."""
-    return (2.0 * np.asarray(t, dtype=float) - K.lo - K.hi) / (K.hi - K.lo)
+def _diff_blocks(t, pts, skip):
+    """Row blocks (rows, D) of D[r, i, m] = t[r, i] - pts[m], with the pairs (r, m)
+    in skip (index arrays sorted by r) set to 1: _TABLE_BLOCK entries, or one row."""
+    step = max(1, _TABLE_BLOCK // max(t.shape[1] * len(pts), 1))
+    for r0 in range(0, len(t), step):
+        D = t[r0:r0 + step, :, None] - pts
+        a, b = np.searchsorted(skip[0], (r0, r0 + step))
+        D[skip[0][a:b] - r0, :, skip[1][a:b]] = 1.0
+        yield slice(r0, r0 + step), D
 
 
-def _system(K: CompactSet, order: int):
-    """Equilibrium system at one per-interval quadrature order: the matrix
-    on the Chebyshev coefficients of h (one unscaled row per gap, whose right
-    side is 0, then the mass row), the sign of h on each component, and
-    each component's nodes and weights.
-
-    Piece p (a component for even p, a gap for odd p) spans the endpoints
-    ends[p], ends[p + 1] of K. The pieces run in row blocks of at most
-    _NODE_BLOCK nodes: a block holds the cosine nodes t of its pieces and
-    multiplies in the endpoint weights sqrt(prod |t - e|) one end e at a
-    time, in place, with the factor exactly 1.0 on the two pieces that e
-    bounds. Each piece's row, sum_t T_k(t) / weight, is then one product
-    with its Chebyshev Vandermonde matrix, built _VANDER_BLOCK values at a
-    time. Only the components' nodes and weights outlive their block.
-    """
-    iv = K.intervals
-    N = len(iv)
-    ends = np.array([e for pair in iv for e in pair])
-    ct = np.cos((np.arange(order) + 0.5) * math.pi / order)
-    # sign of h on component j: + on the rightmost, alternating leftward
-    signs = np.array([(-1.0) ** (N - 1 - j) for j in range(N)])
-    pieces = 2 * N - 1
-    sums = np.empty((pieces, N))
-    comps = []
-    rows = max(1, _NODE_BLOCK // order)
-    sub = max(1, _VANDER_BLOCK // (order * N))
-    for p0 in range(0, pieces, rows):
-        p1 = min(p0 + rows, pieces)
-        lo, hi = ends[p0:p1, None], ends[p0 + 1:p1 + 1, None]
-        t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * ct
-        root, factor = np.ones_like(t), np.empty_like(t)
-        for k, e in enumerate(ends):
-            np.abs(np.subtract(t, e, out=factor), out=factor)
-            factor[max(k - 1 - p0, 0):max(k + 1 - p0, 0)] = 1.0   # pieces k - 1, k
-            root *= factor
-        np.sqrt(root, out=root)
-        inv = np.divide(1.0, root, out=factor)
-        x = _hull_coord(K, t)
-        for s0 in range(0, len(t), sub):
-            V = _cheb.chebvander(x[s0:s0 + sub], N - 1)
-            for r, Vr in enumerate(V, s0):
-                sums[p0 + r] = Vr.T @ inv[r]
-        comps += [(t[r].copy(), root[r].copy()) for r in range(p0 % 2, len(t), 2)]
-    mass_row = np.zeros(N)
-    for sign, row in zip(signs, sums[0::2]):
-        mass_row += sign * row / order  # (1/pi)*(pi/order)
-    return np.vstack([sums[1::2], mass_row]), signs, comps
+def _log_dist(t, pts, skip):
+    """sum_m log|t[r, i] - pts[m]| over the pairs (r, m) not in skip."""
+    out = np.empty(t.shape)
+    for rows, D in _diff_blocks(t, pts, skip):
+        out[rows] = np.log(np.abs(D, out=D), out=D).sum(axis=2)
+    return out
 
 
-def _solve(K: CompactSet, order: int, system):
-    """One equilibrium solve of the system built by _system(K, order):
-    h's coefficients, the full (components x order) array of the C_{j,k}
-    and the least transplanted density sample."""
-    A, signs, comps = system
-    rhs = np.zeros(len(A))
-    rhs[-1] = 1.0
-    try:
-        coef = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise GreenBuildError(f"equilibrium system singular at order {order}") from exc
+def _nodes(ends, order: int):
+    """Cosine nodes t of every piece at one order and -log sqrt(prod |t - e|)
+    over the ends e that do not bound the piece. Piece p (a component for
+    even p, a gap for odd p) spans the endpoints ends[p], ends[p + 1]."""
+    t = 0.5 * (ends[:-1, None] + ends[1:, None]) + 0.5 * np.diff(ends)[:, None] * np.cos(
+        (np.arange(order) + 0.5) * math.pi / order)
+    p = np.repeat(np.arange(len(t)), 2)
+    return t, -0.5 * _log_dist(t, ends, (p, p + np.tile([0, 1], len(t))))
 
-    # transplanted densities, one row per component, and their Chebyshev
-    # coefficients (pi/order) sum_i v_i cos(k theta_i) as a DCT-II by one FFT
-    V = np.array([signs[j] * _cheb.chebval(_hull_coord(K, t), coef) / (math.pi * root)
-                  for j, (t, root) in enumerate(comps)])
+
+def _solve(ends, nodes, c):
+    """One solve on the nodes of one order, from the zeros c: the zeros, the
+    (components x order) array of the C_{j,k} and log s (mass one). Newton
+    steps on c_g = weighted mean of gap g's nodes t, whose Jacobian in c_k is
+    -cov_w(t, 1/(t - c_k)); a step that leaves its gap falls back to the mean.
+    They stop once no zero moves by 1e-12 of its gap, or at the rounding
+    floor: the largest move, below 1e-9 of its gap, no longer halves."""
+    lo, hi = ends[1:-1].reshape(-1, 2).T
+    t, logw = nodes[0][1::2], nodes[1][1::2]
+    g = np.arange(len(c))
+    mean, J = np.empty(len(c)), np.empty((len(c), len(c)))   # J = I + cov_w(t, 1/(t - c))
+    last = math.inf
+    for _ in range(50 if len(c) else 0):          # at most 50 Newton steps
+        for rows, D in _diff_blocks(t, c, (g, g)):
+            inv = np.divide(1.0, D)
+            lw = np.log(np.abs(D, out=D), out=D).sum(axis=2) + logw[rows]
+            w = np.exp(lw - lw.max(axis=1, keepdims=True))
+            w /= w.sum(axis=1, keepdims=True)
+            mean[rows] = np.einsum("gi,gi->g", w, t[rows])
+            J[rows] = np.einsum("gi,gik->gk", w * (t[rows] - mean[rows, None]), inv)
+        J[g, g] = 1.0
+        try:
+            new = c + np.linalg.solve(J, mean - c)
+        except np.linalg.LinAlgError:           # a singular Jacobian: the fixed-point step
+            new = mean
+        new = np.where((lo < new) & (new < hi), new, mean)
+        c, rel = new, float(np.max(np.abs(new - c) / (hi - lo)))
+        if rel <= 1e-12 or 1e-9 >= rel > 0.5 * last:
+            break
+        last = rel
+    lv = _log_dist(nodes[0][0::2], c, (g[:0], g[:0])) + nodes[1][0::2]
+    order = lv.shape[1]
+    V = np.exp(lv - lv.max())
+    mass = V.sum() / order
+    V /= math.pi * mass
+    # Chebyshev coefficients (pi/order) sum_i v_i cos(k theta_i) as a DCT-II by one FFT
     F = np.fft.rfft(np.hstack([V, V[:, ::-1]]), axis=1)[:, :order]
     C = (0.5 * math.pi / order) * (F * np.exp(-0.5j * math.pi * np.arange(order) / order)).real
-    return coef, C, float(V.min())
+    return c, C, -lv.max() - math.log(mass)
 
 
 def _chop(C) -> np.ndarray:
@@ -247,24 +245,28 @@ def build_green_model(K: CompactSet) -> GreenModel:
     residuals are below tolerance (or the order cap is hit). The model keeps
     each series only up to its chop.
 
-    At the order cap a series that has not ended is refused at once: the
-    residuals at twice the cap could not change the verdict, so that system
-    is never built, and the message gives the residuals of the previous
-    solve (measured on the cap's own system) and says so.
+    Each order's solve starts from the last one's zeros. At the order cap a
+    series that has not ended is refused at once: the residuals at twice the
+    cap could not change the verdict, so those nodes are never built, and
+    the message gives the residuals of the previous solve (measured on the
+    cap's own nodes) and says so.
     """
     order = 256
     history = []
-    system = _system(K, order)
+    ends = np.ravel(K.intervals) - 0.5 * (K.lo + K.hi)   # hull-centred: c keeps its digits
+    c = ends[1:-1].reshape(-1, 2).mean(axis=1)     # gap midpoints
+    nodes = _nodes(ends, order)
     while True:
-        coef, C, vmin = _solve(K, order, system)
+        c, C, log_scale = _solve(ends, nodes, c)
         lengths = _chop(C)
         ended = bool(np.all(lengths <= order - 3))
         if ended or order < _MAX_ORDER:
-            # residuals at twice the order; on doubling, that system is the next one
-            system = _system(K, 2 * order)
-            res = system[0] @ coef
-            mass_err = abs(float(res[-1]) - 1.0)
-            gap_err = float(np.max(np.abs(res[:-1]), initial=0.0)) * math.pi / (2 * order)
+            # residuals at twice the order; on doubling, those nodes are the next ones
+            nodes, g = _nodes(ends, 2 * order), np.arange(len(c))
+            f = np.exp(_log_dist(nodes[0], c, (2 * g + 1, g)) + nodes[1] + log_scale)
+            f[1::2] *= nodes[0][1::2] - c[:, None]            # h / sqrt|q| on the gaps
+            mass_err = abs(float(f[0::2].sum()) / (2 * order) - 1.0)
+            gap_err = float(np.abs(f[1::2].sum(axis=1)).max(initial=0.0)) * math.pi / (2 * order)
             history.append({"order": order, "series_length": int(lengths.max()),
                             "mass_residual": mass_err, "gap_residual": gap_err})
             if ended and mass_err <= 1e-10 and gap_err <= _RESIDUAL_TOL:
@@ -285,9 +287,7 @@ def build_green_model(K: CompactSet) -> GreenModel:
     bres = float(np.max(np.abs(model.potential(mids) + model.robin_constant)))
     if bres > 1e-8:
         raise GreenBuildError(f"potential not constant across components: {bres:.2e}")
-    if vmin < -1e-10:
-        raise GreenBuildError(f"equilibrium density went negative: {vmin:.2e}")
     # order, series_length, mass_residual and gap_residual of the last solve
     model.diagnostics = {**history[-1], "boundary_residual": bres,
-                         "density_min": vmin, "doubling_history": history}
+                         "doubling_history": history}
     return model

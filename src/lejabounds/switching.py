@@ -46,19 +46,25 @@ from .compact_set import ValidationError, _check_tau
 _DP_ROWS = 64     # breakpoints per block of optimal_switching's suffix table
 
 
+def _check_chain(pts: np.ndarray, tau: float) -> None:
+    """The preconditions of a switching instance, on its points as an array."""
+    if len(pts) < 2:
+        raise ValidationError("need at least x_0 and x_1")
+    _check_tau(tau)
+    if not np.all(np.isfinite(pts)):
+        raise ValidationError("points must be finite")
+    s = np.sort(pts)
+    if np.any(s[1:] == s[:-1]):
+        raise ValidationError("points must be pairwise distinct")
+
+
 @dataclass(frozen=True)
 class SwitchingInstance:
     points: tuple
     tau: float
 
     def __post_init__(self):
-        if len(self.points) < 2:
-            raise ValidationError("need at least x_0 and x_1")
-        _check_tau(self.tau)
-        if not all(map(math.isfinite, self.points)):
-            raise ValidationError("points must be finite")
-        if len(set(self.points)) != len(self.points):
-            raise ValidationError("points must be pairwise distinct")
+        _check_chain(np.asarray(self.points, dtype=float), self.tau)
 
     @property
     def q(self) -> int:
@@ -112,9 +118,13 @@ def optimal_switching(inst: SwitchingInstance) -> SwitchingResult:
     suffix would. Each breakpoint then costs one add to the carried
     dist + log(1/tau) and one argmin: O(q^2) time, O(_DP_ROWS q) memory.
     """
-    pts = np.asarray(inst.points)
-    q = inst.q
-    lt = math.log(1.0 / inst.tau)
+    return _optimal_chain(np.asarray(inst.points), inst.tau)
+
+
+def _optimal_chain(pts: np.ndarray, tau: float) -> SwitchingResult:
+    """optimal_switching on the points (x_0, ..., x_q) of a valid instance."""
+    q = len(pts) - 1
+    lt = math.log(1.0 / tau)
     dist_lt = np.empty(q + 1)              # dist[a] + lt, the cost of leaving a
     dist_lt[0] = lt
     pred = np.zeros(q + 1, dtype=int)
@@ -371,11 +381,12 @@ def basis_vs_switching(seq, k: int, x: float, tau: float = None) -> BasisSwitchR
     if np.any(pts == x):
         return BasisSwitchReport(ok=True, skipped=True, k=k, x=x,
                                  log_basis=math.nan, log_switching=math.nan)
-    others = np.delete(np.arange(n), k)
-    log_basis = float(np.sum(np.log(np.abs(x - pts[others])))
-                      - np.sum(np.log(np.abs(pts[k] - pts[others]))))
-    inst = SwitchingInstance(points=tuple(pts[k:]) + (float(x),), tau=tau)
-    res = optimal_switching(inst)
+    chain = np.append(pts[k:], float(x))
+    _check_chain(chain, tau)
+    others = np.concatenate((pts[:k], pts[k + 1:]))
+    log_basis = float(np.sum(np.log(np.abs(x - others)))
+                      - np.sum(np.log(np.abs(pts[k] - others))))
+    res = _optimal_chain(chain, tau)
     ok = log_basis <= res.log_value + math.log1p(1e-9)
     return BasisSwitchReport(ok=bool(ok), skipped=False, k=k, x=float(x),
                              log_basis=log_basis, log_switching=res.log_value)

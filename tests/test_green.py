@@ -122,13 +122,18 @@ def test_neighborhood_max_pure(model_unit):
     assert pickle.dumps(vars(model_unit)) == before
 
 
+def ends_and_gap_midpoints(K):
+    ends = np.ravel(K.intervals)
+    return ends, ends[1:-1].reshape(-1, 2).mean(axis=1)
+
+
 def test_solve_memory_bounded_at_order_cap(K_two):
-    from lejabounds.green import _solve, _system
-    order = 4096
-    system = _system(K_two, order)
+    from lejabounds.green import _nodes, _solve
+    ends, mids = ends_and_gap_midpoints(K_two)
+    nodes = _nodes(ends, 4096)
     tracemalloc.start()
     try:
-        _solve(K_two, order, system)
+        _solve(ends, nodes, mids)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -188,11 +193,12 @@ def test_series_chopped_at_plateau(name):
 
 @pytest.mark.parametrize("name", ["two", "sym", "cantor3"])
 def test_chopped_series_matches_full_series(name, rng):
-    from lejabounds.green import GreenModel, _solve, _system
+    from lejabounds.green import GreenModel, _nodes, _solve
     K = SERIES_SETS[name]
     m = build_green_model(K)
     order = m.quadrature_order
-    _, C, _ = _solve(K, order, _system(K, order))
+    ends, mids = ends_and_gap_midpoints(K)
+    _, C, _ = _solve(ends, _nodes(ends, order), mids)
     full = GreenModel(K, order, 0.0, list(C))
     full.robin_constant = -full.potential(0.5 * sum(K.intervals[0]))
     assert {len(c) for c in full.cheb_coeffs} == {order}
@@ -226,66 +232,91 @@ def test_doubling_history_one_entry_per_solve():
         build_green_model(make_union([(0.0, 1.0), (1.0 + 1e-6, 2.0)]))
 
 
-def per_piece_system(K, order):
-    """The equilibrium system one piece at a time: each gap's and each
-    component's cosine nodes, the product of |t - e| over the other
-    endpoints e, and chebvander(...).T @ (1 / weight)."""
-    from numpy.polynomial import chebyshev
-
-    from lejabounds.green import _hull_coord
-    iv = K.intervals
-    N = len(iv)
-    ends = [e for pair in iv for e in pair]
-    ct = np.cos((np.arange(order) + 0.5) * math.pi / order)
-    signs = np.array([(-1.0) ** (N - 1 - j) for j in range(N)])
-
-    def nodes(lo, hi):
-        t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * ct
-        other = np.ones_like(t)
-        for e in ends:
-            if e != lo and e != hi:
-                other *= np.abs(t - e)
-        return t, np.sqrt(other)
-
-    def row(t, root):
-        return chebyshev.chebvander(_hull_coord(K, t), N - 1).T @ (1.0 / root)
-
-    rows = [row(*nodes(glo, ghi)) for (_, glo), (ghi, _) in zip(iv, iv[1:])]
-    comps = [nodes(lo, hi) for lo, hi in iv]
-    mass_row = np.zeros(N)
-    for sign, comp in zip(signs, comps):
-        mass_row += sign * row(*comp) / order
-    return np.vstack(rows + [mass_row]), signs, comps
-
-
-@pytest.mark.parametrize("order", [256, 4096])
-@pytest.mark.parametrize("K", [
-    cantor_approx(4, 1.0 / 3.0),
-    make_union([(k / 30, k / 30 + 0.01) for k in range(30)]),
-    make_union([(0.0, 1.0), (2.0, 3.0)]),
-], ids=["cantor4", "narrow30", "two"])
-def test_blocked_system_equals_per_piece_system(K, order):
-    from lejabounds.green import _system
-    A, signs, comps = _system(K, order)
-    A_ref, signs_ref, comps_ref = per_piece_system(K, order)
-    assert np.array_equal(A, A_ref)
-    assert np.array_equal(signs, signs_ref)
-    assert len(comps) == len(comps_ref) == K.n_components
-    for (t, root), (t_ref, root_ref) in zip(comps, comps_ref):
-        assert np.array_equal(t, t_ref) and np.array_equal(root, root_ref)
-
-
 def test_unended_series_at_cap_refused_without_the_doubled_system(monkeypatch):
     from lejabounds import green
     orders = []
-    system = green._system
+    nodes = green._nodes
 
-    def recording(K, order):
+    def recording(ends, order):
         orders.append(order)
-        return system(K, order)
+        return nodes(ends, order)
 
-    monkeypatch.setattr(green, "_system", recording)
+    monkeypatch.setattr(green, "_nodes", recording)
     with pytest.raises(GreenBuildError, match=r"series_length=4094 mass_err=\S+ gap_err=\S+ "
                                               r"\(residuals of the order-2048 solve\)$"):
         build_green_model(make_union([(0.0, 1.0), (1.0 + 1e-6, 2.0)]))
     assert orders == [256, 512, 1024, 2048, 4096]
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.9, 0.999])
+def test_symmetric_pair_capacity_closed_form(alpha):
+    # t -> t^2 maps [-1,-alpha] U [alpha,1] two-to-one onto [alpha^2, 1]
+    m = build_green_model(make_union([(-1.0, -alpha), (alpha, 1.0)]))
+    assert m.capacity == pytest.approx(math.sqrt(1.0 - alpha ** 2) / 2.0, rel=1e-13, abs=0)
+
+
+def test_zeros_of_h_lie_strictly_inside_their_gaps():
+    from lejabounds.green import _nodes, _solve
+    K = cantor_approx(7, 1.0 / 3.0)
+    ends, mids = ends_and_gap_midpoints(K)
+    c, _, _ = _solve(ends, _nodes(ends, 256), mids)
+    gaps = ends[1:-1].reshape(-1, 2)
+    assert len(c) == K.n_components - 1 == 127
+    assert np.all((gaps[:, 0] < c) & (c < gaps[:, 1]))
+
+
+def test_cantor_capacities_decrease_above_the_limit():
+    # Ransford & Rostand (Math. Comp. 76, 2007): the middle-third Cantor set
+    # has capacity 0.22094..., which every finite approximant exceeds
+    caps = [build_green_model(cantor_approx(d, 1.0 / 3.0)).capacity for d in range(8)]
+    assert all(a > b for a, b in zip(caps, caps[1:]))
+    assert caps[-1] > 0.2209
+
+
+@pytest.mark.parametrize("K", [
+    cantor_approx(6, 1.0 / 3.0),
+    make_union([(k / 30, k / 30 + 0.01) for k in range(30)]),
+    cantor_approx(5, 0.25),
+], ids=["cantor6", "narrow30", "cantor5_quarter"])
+def test_many_component_sets_build(K):
+    m = build_green_model(K)
+    assert np.max(m.value(K.grid(2000.0))) < 1e-10
+    assert m.diagnostics["mass_residual"] <= 1e-13
+    assert m.diagnostics["gap_residual"] <= 1e-13
+    assert m.diagnostics["boundary_residual"] <= 1e-12
+
+
+def test_depth7_build_memory_bounded():
+    K = cantor_approx(7, 1.0 / 3.0)
+    tracemalloc.start()
+    try:
+        build_green_model(K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64e6
+
+
+def test_newton_stops_at_the_rounding_floor(monkeypatch):
+    # gaps of 5e-5 of the hull: 1e-12 of a gap is below an ulp of its zero,
+    # so only the no-longer-halving rule can end the Newton steps
+    steps = []
+    solve = np.linalg.solve
+
+    def counting(J, r):
+        steps.append(len(r))
+        return solve(J, r)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    m = build_green_model(cantor_approx(2, 0.49995))
+    assert len(steps) <= 3 * len(m.diagnostics["doubling_history"])
+
+
+def test_set_far_from_the_origin_builds():
+    # the solve runs on hull-centred coordinates, so a shift of the set
+    # moves its zeros by whole ulps of the shift only
+    K = cantor_approx(3, 1.0 / 3.0)
+    far = make_union([(lo + 1e6, hi + 1e6) for lo, hi in K.intervals])
+    m = build_green_model(far)
+    assert m.quadrature_order == 256
+    assert m.capacity == pytest.approx(build_green_model(K).capacity, rel=1e-9)

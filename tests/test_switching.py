@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lejabounds import (SwitchingInstance, ValidationError, basis_vs_switching,
-                        brute_force_log_min, chain_log_value, check_spread_bound,
-                        naive_strategy, optimal_switching, spread_bound,
-                        spread_log_bound, switching_constant,
+from lejabounds import (InterpolationOperator, PointSequence, SwitchingInstance,
+                        ValidationError, basis_vs_switching, brute_force_log_min,
+                        cantor_approx, chain_log_value, check_spread_bound,
+                        naive_strategy, optimal_switching, quasi_leja_sequence,
+                        spread_bound, spread_log_bound, switching_constant,
                         two_track_strategy, worst_case_instance)
-from lejabounds.switching import _trace_log_value
+from lejabounds.switching import BasisSwitchReport, _trace_log_value
 
 
 def rand_instance(rng, q, tau, lo=-1.0, hi=1.0, min_gap=1e-3):
@@ -316,6 +317,56 @@ def test_basis_bound_on_exact(leja_unit_100, rng):
 def test_basis_bound_node_hit_skips(leja_unit_100):
     rep = basis_vs_switching(leja_unit_100, 2, leja_unit_100.points[5], tau=1.0)
     assert rep.skipped and rep.ok
+
+
+def basis_vs_switching_reference(seq, k, x):
+    """basis_vs_switching through the public path: the other indices by
+    np.delete and a validated SwitchingInstance for optimal_switching."""
+    pts = np.asarray(seq.points, dtype=float)
+    if np.any(pts == x):
+        return BasisSwitchReport(ok=True, skipped=True, k=k, x=x,
+                                 log_basis=math.nan, log_switching=math.nan)
+    others = np.delete(np.arange(len(pts)), k)
+    log_basis = float(np.sum(np.log(np.abs(x - pts[others])))
+                      - np.sum(np.log(np.abs(pts[k] - pts[others]))))
+    res = optimal_switching(SwitchingInstance(points=tuple(pts[k:]) + (float(x),), tau=seq.tau))
+    return BasisSwitchReport(ok=bool(log_basis <= res.log_value + math.log1p(1e-9)),
+                             skipped=False, k=k, x=float(x),
+                             log_basis=log_basis, log_switching=res.log_value)
+
+
+def test_basis_vs_switching_bitwise_equals_public_path():
+    # the 960 calls of one cantor-relaxed benchmark job (seed 1), plus a node hit
+    K = cantor_approx(3, 1.0 / 3.0)
+    seq = quasi_leja_sequence(K, 120, 0.9, rng_seed=1)
+    rng = np.random.default_rng(1)
+    xs = [InterpolationOperator.from_sequence(seq).lebesgue_constant(K).argmax_x]
+    for _ in range(7):
+        lo, hi = K.intervals[int(rng.integers(K.n_components))]
+        xs.append(float(rng.uniform(lo, hi)))
+    xs.append(seq.points[7])
+    for x in xs:
+        for k in range(len(seq)):
+            got = basis_vs_switching(seq, k, x)
+            ref = basis_vs_switching_reference(seq, k, x)
+            assert [got.ok, got.skipped, got.k] == [ref.ok, ref.skipped, ref.k]
+            for a, b in ((got.x, ref.x), (got.log_basis, ref.log_basis),
+                         (got.log_switching, ref.log_switching)):
+                assert float(a).hex() == float(b).hex(), (x, k)
+
+
+@pytest.mark.parametrize("points,tau,message", [
+    ((0.0, 1.0, 2.0, 1.0), 0.9, "pairwise distinct"),
+    ((0.0, 1.0, math.nan, 3.0), 0.9, "finite"),
+    ((0.0, 1.0, 2.0, 3.0), 1.5, "tau"),
+])
+def test_basis_vs_switching_checks_the_suffix(points, tau, message):
+    seq = PointSequence(points=points, tau=tau, grid_density=1.0, rng_seed=None,
+                        x0_policy="right", achieved_ratios=(), step_log_maxima=())
+    with pytest.raises(ValidationError, match=message):
+        basis_vs_switching(seq, 1, 5.0)
+    with pytest.raises(ValidationError, match=message):
+        SwitchingInstance(points[1:] + (5.0,), tau)
 
 
 def test_json_roundtrip():
