@@ -58,17 +58,15 @@ def _log_bound(diam: float, G: float, n: int, delta: float, tau: float) -> float
     return math.log(n) + _log_spread(math.log(diam) - math.log(tau * delta) + n * G, tau)
 
 
-def _check_args(n: int, delta: float, tau: float) -> None:
+def _check_args(n: int, tau: float) -> None:
     if n < 1:
         raise ValidationError("n must be at least 1")
-    if not delta > 0:
-        raise ValidationError("delta must be positive")
     _check_tau(tau)
 
 
 def _bound(diam: float, G: float, n: int, delta: float, tau: float) -> float:
     """Bound value from an already computed G(delta); +inf past a double."""
-    _check_args(n, delta, tau)
+    _check_args(n, tau)
     return _exp(_log_bound(diam, G, n, delta, tau))
 
 
@@ -111,7 +109,7 @@ def optimize_bound(model: GreenModel, n, tau: float = 1.0, delta_grid=None):
     """
     single = np.ndim(n) == 0
     ns = [n] if single else list(n)
-    _check_args(min(ns, default=0), 1.0, tau)
+    _check_args(min(ns, default=0), tau)
     diam = model.set.diam
     given = delta_grid is not None
     grid = np.asarray(delta_grid if given else np.geomspace(1e-4 * diam, diam, _GRID_POINTS),

@@ -116,7 +116,7 @@ def _cmd_bound(args) -> tuple[str, dict, bool]:
     ns = _parse_range(args.n_range) if args.n_range else None
     if ns is None and args.deltas < 1:
         raise ValidationError("deltas must be at least 1")
-    _check_args(args.n if ns is None else ns[0], 1.0, args.tau)
+    _check_args(args.n if ns is None else ns[0], args.tau)
     K = _build_set(args)
     model = build_green_model(K)
     if ns is None:

@@ -85,7 +85,6 @@ class GreenModel:
     """Solved equilibrium data for one set; immutable after build."""
 
     set: CompactSet
-    quadrature_order: int
     robin_constant: float
     cheb_coeffs: list                   # per component, C_{j,k} chopped by _chop
     diagnostics: dict = field(default_factory=dict)
@@ -279,7 +278,7 @@ def build_green_model(K: CompactSet) -> GreenModel:
                 f"mass_err={last['mass_residual']:.2e} gap_err={last['gap_residual']:.2e}{note}")
         order *= 2
 
-    model = GreenModel(K, order, 0.0, [row[:n].copy() for row, n in zip(C, lengths)])
+    model = GreenModel(K, 0.0, [row[:n].copy() for row, n in zip(C, lengths)])
     z0 = 0.5 * (K.intervals[0][0] + K.intervals[0][1])
     model.robin_constant = -model.potential(z0)
 

@@ -2,17 +2,17 @@
 evaluation, Lebesgue function and constant.
 
 The weights w_k = 1 / prod_{j != k} (x_k - x_j) are formed from logs and
-signs and scaled by their largest modulus, so hundreds of nodes neither
-under- nor overflow. Every evaluation goes through the terms
-t_k(x) = w_k / (x - x_k) (Berrut & Trefethen, SIAM Rev. 46, 2004):
-interpolant sum t_k f_k / sum t, basis L_k = t_k / sum t, Lebesgue function
-sum |t| / |sum t|, each exact at node hits; the Lebesgue function runs in
-row blocks, so its memory does not grow with the number of points. The
-Lebesgue function has exactly one local maximum between adjacent nodes and
-is monotone outside the node hull (Brutman, J. Inequal. Appl. 1, 1997; the
-argument is in `lebesgue_constant`), so the Lebesgue constant comes from
-one bracketed Newton search per piece of K cut at the nodes, all pieces at
-once.
+signs, so hundreds of nodes neither under- nor overflow. The basis and the
+Lebesgue function sum_k |L_k| take the product form |L_k(x)| =
+exp(sum_{j != k} log|x - x_j| + log|w_k|), which is backward stable (Higham,
+IMA J. Numer. Anal. 24, 2004) where a sum of the terms w_k / (x - x_k)
+cancels; the interpolant keeps the barycentric second form (Berrut &
+Trefethen, SIAM Rev. 46, 2004). All are exact at node hits, and the Lebesgue
+function runs in row blocks, so its memory does not grow with the number of
+points. It has exactly one local maximum between adjacent nodes and is
+monotone outside the node hull (Brutman, J. Inequal. Appl. 1, 1997; the
+argument is in `lebesgue_constant`), so the Lebesgue constant comes from one
+bracketed Newton search per piece of K cut at the nodes, all pieces at once.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ class InterpolationOperator:
         self.nodes = nodes
         diff = nodes[:, None] - nodes[None, :]
         np.fill_diagonal(diff, 1.0)
-        log_w = -np.log(np.abs(diff)).sum(axis=1)
-        self._w = np.sign(diff).prod(axis=1) * np.exp(log_w - log_w.max())
+        self._log_w = -np.log(np.abs(diff)).sum(axis=1)
+        self._w = np.sign(diff).prod(axis=1) * np.exp(self._log_w - self._log_w.max())
 
     @classmethod
     def from_sequence(cls, seq, n: int = None) -> "InterpolationOperator":
@@ -56,21 +56,26 @@ class InterpolationOperator:
     def n(self) -> int:
         return len(self.nodes)
 
-    def _terms(self, x):
-        """Terms w_k / (x - x_k) for the flattened points x, one row per
-        point, and the mask of node hits x == x_k (those terms are inf)."""
-        xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-        d = xs[:, None] - self.nodes[None, :]
-        with np.errstate(divide="ignore"):
-            return self._w / d, d == 0.0
+    def _log_basis(self, xs):
+        """log|L_k(x)| in product form, one row per point of xs, and the mask
+        of node hits x == x_k, whose rows the caller patches."""
+        d = xs[:, None] - self.nodes
+        hit = d == 0.0
+        d[hit] = 1.0
+        np.log(np.abs(d, out=d), out=d)
+        np.subtract(d.sum(axis=1, keepdims=True), d, out=d)
+        d += self._log_w
+        return d, hit
 
     def lagrange_basis(self, k: int, x):
-        """L_k(x), exact Kronecker delta when x hits a node."""
+        """L_k(x) in product form, exact Kronecker delta when x hits a node."""
         if not 0 <= k < self.n:
             raise ValidationError("basis index out of range")
-        t, hit = self._terms(x)
-        with np.errstate(invalid="ignore"):
-            out = t[:, k] / t.sum(axis=1)
+        xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
+        log_l, hit = self._log_basis(xs)
+        # sign: that of w_k times (-1)^(number of nodes x_j > x, j != k)
+        above = (self.nodes > xs[:, None]).sum(axis=1) - (self.nodes[k] > xs)
+        out = np.sign(self._w[k]) * (1 - 2 * (above % 2)) * np.exp(log_l[:, k])
         exact = hit.any(axis=1)
         out[exact] = hit[exact, k]
         return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
@@ -80,26 +85,25 @@ class InterpolationOperator:
         fvals = np.asarray(fvals)
         if fvals.shape != (self.n,):
             raise ValidationError("fvals must match the node count")
-        t, hit = self._terms(x)
+        d = np.atleast_1d(np.asarray(x, dtype=float)).ravel()[:, None] - self.nodes
         # node hits produce inf/inf here and are patched right below
-        with np.errstate(invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = self._w / d
             out = np.asarray((t @ fvals) / t.sum(axis=1),
                              dtype=fvals.dtype if np.iscomplexobj(fvals) else float)
-        hit_rows, hit_cols = np.nonzero(hit)
+        hit_rows, hit_cols = np.nonzero(d == 0.0)
         out[hit_rows] = fvals[hit_cols]
         return out[0] if np.ndim(x) == 0 else out.reshape(np.shape(x))
 
     def lebesgue_function(self, x):
-        """Sum_k |L_k(x)|; equals 1 at the nodes."""
+        """Sum_k |L_k(x)| in product form; equals 1 at the nodes."""
         xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
         vals = np.empty(len(xs))
         rows = max(1, _BLOCK_ENTRIES // self.n)
         for r0 in range(0, len(xs), rows):
-            t, hit = self._terms(xs[r0:r0 + rows])
-            with np.errstate(invalid="ignore"):
-                v = np.abs(t).sum(axis=1) / np.abs(t.sum(axis=1))
-            v[hit.any(axis=1)] = 1.0
-            vals[r0:r0 + rows] = v
+            log_l, hit = self._log_basis(xs[r0:r0 + rows])
+            vals[r0:r0 + rows] = np.where(hit.any(axis=1), 1.0,
+                                          np.exp(log_l, out=log_l).sum(axis=1))
         return float(vals[0]) if np.ndim(x) == 0 else vals.reshape(np.shape(x))
 
     def _log_slope(self, x):

@@ -6,8 +6,9 @@ refinement inside the two cells around it, ties toward the smaller
 abscissa). Quasi mode with relaxation tau picks uniformly at random
 (seeded) among all grid points whose product reaches tau times the refined
 step maximum, falling back to the refined argmax when no grid point
-qualifies; that fallback also makes tau = 1 reproduce exact mode bit for
-bit.
+qualifies. Exact mode (tau = 1) is that fallback at every step. The audit
+(`verify_quasi_leja`) runs the same greedy loop, with the sequence's own
+points as the choices.
 
 Products are accumulated in log space: a running vector of
 sum_j log|grid - x_j| is updated with one term per step, so an n-point
@@ -26,7 +27,7 @@ from .compact_set import CompactSet, ValidationError, _check_tau
 from .green import GreenModel
 
 DEFAULT_GRID_DENSITY = 10_000.0
-_NEWTON_ITERS = 100   # safety cap; a step converges in a handful
+_NEWTON_ITERS = 100   # safety cap; a step takes a median of 20 to 37, at most 50
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,6 @@ class PointSequence:
     rng_seed: int
     x0_policy: str
     achieved_ratios: tuple      # ratios[k-1]: step-k product / refined step max
-    step_log_maxima: tuple      # log of the refined step max, one per step
 
     def __len__(self) -> int:
         return len(self.points)
@@ -67,8 +67,7 @@ class PointSequence:
                    grid_density=float(obj["grid_density"]),
                    rng_seed=None if seed is None else int(seed),
                    x0_policy=str(obj.get("x0_policy", "right")),
-                   achieved_ratios=tuple(obj.get("achieved_ratios", ())),
-                   step_log_maxima=tuple(obj.get("step_log_maxima", ())))
+                   achieved_ratios=tuple(obj.get("achieved_ratios", ())))
 
 
 def _resolve_x0(K: CompactSet, x0) -> tuple[float, str]:
@@ -130,6 +129,26 @@ def _refine_step(K: CompactSet, grid, cum, pts_arr, idx: int):
     return xg, fg
 
 
+def _greedy(K: CompactSet, grid, x0: float, n: int, choose) -> tuple[list, list]:
+    """The greedy loop of generation and audit: n points from x0. Each step
+    refines the argmax of the running log product cum = sum_j log|grid - x_j|
+    to the step maximum P* (`_refine_step`), and choose(cum, pts_arr, x_star,
+    P*) gives the next point and its log product P. Returns the points and
+    the step ratios exp(min(P - P*, 0))."""
+    pts, ratios = [x0], []
+    with np.errstate(divide="ignore"):
+        cum = np.log(np.abs(grid - x0))
+    for _ in range(1, n):
+        pts_arr = np.asarray(pts)
+        x_star, log_max = _refine_step(K, grid, cum, pts_arr, int(np.argmax(cum)))
+        x, log_val = choose(cum, pts_arr, x_star, log_max)
+        pts.append(x)
+        ratios.append(math.exp(min(log_val - log_max, 0.0)))
+        with np.errstate(divide="ignore"):
+            cum = cum + np.log(np.abs(grid - x))
+    return pts, ratios
+
+
 def _generate(K: CompactSet, n: int, tau: float, rng_seed: int,
               grid_density: float, x0) -> PointSequence:
     if n < 1:
@@ -143,36 +162,20 @@ def _generate(K: CompactSet, n: int, tau: float, rng_seed: int,
     x0v, policy = _resolve_x0(K, x0)
     rng = np.random.default_rng(rng_seed)
 
-    pts = [x0v]
-    with np.errstate(divide="ignore"):
-        cum = np.log(np.abs(grid - x0v))
-    ratios, maxima = [], []
-    log_tau = math.log(tau)
-    for _ in range(1, n):
-        pts_arr = np.asarray(pts)
-        idx = int(np.argmax(cum))
-        x_star, log_max = _refine_step(K, grid, cum, pts_arr, idx)
+    def draw(cum, pts_arr, x_star, log_max):
         if not math.isfinite(log_max):
             raise ValidationError("no admissible point left on the grid")
-        if tau >= 1.0:
-            chosen, ratio = x_star, 1.0
-        else:
-            elig = np.flatnonzero(cum >= log_tau + log_max)
-            if len(elig) == 0:
-                chosen, ratio = x_star, 1.0
-            else:
-                pick = elig[int(rng.integers(len(elig)))]
-                chosen = float(grid[pick])
-                ratio = math.exp(float(cum[pick]) - log_max)
-        pts.append(chosen)
-        maxima.append(log_max)
-        ratios.append(min(ratio, 1.0))
-        with np.errstate(divide="ignore"):
-            cum = cum + np.log(np.abs(grid - chosen))
+        # no draw at tau = 1, where grid points can tie the maximum exactly
+        elig = np.flatnonzero(cum >= math.log(tau) + log_max) if tau < 1.0 else ()
+        if len(elig) == 0:
+            return x_star, log_max
+        pick = elig[int(rng.integers(len(elig)))]
+        return float(grid[pick]), float(cum[pick])
+
+    pts, ratios = _greedy(K, grid, x0v, n, draw)
     return PointSequence(points=tuple(pts), tau=tau, grid_density=grid_density,
                          rng_seed=rng_seed, x0_policy=policy,
-                         achieved_ratios=tuple(ratios),
-                         step_log_maxima=tuple(maxima))
+                         achieved_ratios=tuple(ratios))
 
 
 def leja_sequence(K: CompactSet, n: int, x0="right",
@@ -207,27 +210,18 @@ def verify_quasi_leja(seq: PointSequence, K: CompactSet, tau: float = None) -> A
     """
     tau = seq.tau if tau is None else float(tau)
     _check_tau(tau)
-    grid = K.grid(2.0 * seq.grid_density)
     pts = np.asarray(seq.points)
-    with np.errstate(divide="ignore"):
-        cum = np.log(np.abs(grid - pts[0]))
-    worst, worst_k = math.inf, 0
-    ratios = []
-    for k in range(1, len(pts)):
-        arr = pts[:k]
-        idx = int(np.argmax(cum))
-        _, log_max = _refine_step(K, grid, cum, arr, idx)
+
+    def own_next(cum, arr, x_star, log_max):
+        x = pts[len(arr)]
         with np.errstate(divide="ignore"):
-            log_val = float(np.sum(np.log(np.abs(pts[k] - arr))))
-        ratio = math.exp(min(log_val - log_max, 0.0))
-        ratios.append(ratio)
-        if ratio < worst:
-            worst, worst_k = ratio, k
-        with np.errstate(divide="ignore"):
-            cum = cum + np.log(np.abs(grid - pts[k]))
-    ok = all(r >= tau * (1.0 - 1e-6) for r in ratios)
-    return AuditReport(ok=ok, tau=tau, worst_ratio=worst if ratios else 1.0,
-                       worst_step=worst_k, ratios=tuple(ratios))
+            return x, float(np.sum(np.log(np.abs(x - arr))))
+
+    _, ratios = _greedy(K, K.grid(2.0 * seq.grid_density), pts[0], len(pts), own_next)
+    worst = min(ratios, default=1.0)
+    return AuditReport(ok=all(r >= tau * (1.0 - 1e-6) for r in ratios), tau=tau,
+                       worst_ratio=worst, worst_step=ratios.index(worst) + 1 if ratios else 0,
+                       ratios=tuple(ratios))
 
 
 @dataclass(frozen=True)

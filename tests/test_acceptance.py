@@ -240,8 +240,7 @@ def test_11_basis_values_below_switching(leja_unit_100, quasi_unit_seqs):
         head = seq.points[:n]
         sub = type(seq)(points=head, tau=tau, grid_density=seq.grid_density,
                         rng_seed=seq.rng_seed, x0_policy=seq.x0_policy,
-                        achieved_ratios=seq.achieved_ratios[:n - 1],
-                        step_log_maxima=seq.step_log_maxima[:n - 1])
+                        achieved_ratios=seq.achieved_ratios[:n - 1])
         for x in rng.uniform(-1, 1, 100):
             for k in range(n):
                 rep = basis_vs_switching(sub, k, float(x), tau=tau)

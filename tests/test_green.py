@@ -187,7 +187,7 @@ SERIES_SETS = {
 @pytest.mark.parametrize("name", sorted(SERIES_SETS))
 def test_series_chopped_at_plateau(name):
     m = build_green_model(SERIES_SETS[name])
-    assert m.quadrature_order == 256
+    assert m.diagnostics["order"] == 256
     assert max(len(C) for C in m.cheb_coeffs) <= 32
 
 
@@ -196,10 +196,10 @@ def test_chopped_series_matches_full_series(name, rng):
     from lejabounds.green import GreenModel, _nodes, _solve
     K = SERIES_SETS[name]
     m = build_green_model(K)
-    order = m.quadrature_order
+    order = m.diagnostics["order"]
     ends, mids = ends_and_gap_midpoints(K)
     _, C, _ = _solve(ends, _nodes(ends, order), mids)
-    full = GreenModel(K, order, 0.0, list(C))
+    full = GreenModel(K, 0.0, list(C))
     full.robin_constant = -full.potential(0.5 * sum(K.intervals[0]))
     assert {len(c) for c in full.cheb_coeffs} == {order}
     x = rng.uniform(K.lo - 0.2 * K.diam, K.hi + 0.2 * K.diam, 500)
@@ -318,5 +318,5 @@ def test_set_far_from_the_origin_builds():
     K = cantor_approx(3, 1.0 / 3.0)
     far = make_union([(lo + 1e6, hi + 1e6) for lo, hi in K.intervals])
     m = build_green_model(far)
-    assert m.quadrature_order == 256
+    assert m.diagnostics["order"] == 256
     assert m.capacity == pytest.approx(build_green_model(K).capacity, rel=1e-9)

@@ -223,20 +223,45 @@ def _exact_log_slope(nodes, x):
     return float(g), float(d2 / lam - g * g), float(lam)
 
 
-def test_log_slope_accurate_near_clustered_nodes():
-    # five pairs of nodes 1e-7 apart; between the pairs Lambda is 2e6..2e7,
-    # where a sum of the barycentric terms loses about 1e-8 to cancellation
+def _clustered():
+    """Five pairs of nodes 1e-7 apart and 12 points between the pairs, where
+    Lambda is 2e6..2e7 and a sum of the barycentric terms loses about 1e-8
+    to cancellation."""
     centers = np.array([-0.9, -0.4, 0.1, 0.5, 0.85])
     nodes = np.concatenate([centers, centers + 1e-7])
-    op = InterpolationOperator(nodes)
     lo, hi = centers[:-1] + 1e-7, centers[1:]
-    x = np.concatenate([lo + f * (hi - lo) for f in (0.25, 0.5, 0.75)])
+    return nodes, np.concatenate([lo + f * (hi - lo) for f in (0.25, 0.5, 0.75)])
+
+
+def test_log_slope_accurate_near_clustered_nodes():
+    nodes, x = _clustered()
+    op = InterpolationOperator(nodes)
     g, gp = op._log_slope(x)
     for xi, gi, gpi in zip(x, g, gp):
         ref_g, ref_gp, lam = _exact_log_slope(nodes, xi)
         assert lam > 1e6
         assert gi == pytest.approx(ref_g, rel=1e-12, abs=0)
         assert gpi == pytest.approx(ref_gp, rel=1e-12, abs=0)
+
+
+def test_basis_and_lebesgue_function_accurate_near_clustered_nodes():
+    # the product form keeps every L_k and the sum of their moduli to a few
+    # ulps where the barycentric sum cancels
+    nodes, x = _clustered()
+    op = InterpolationOperator(nodes)
+    lam = op.lebesgue_function(x)
+    basis = [op.lagrange_basis(k, x) for k in range(len(nodes))]
+    X = [Fraction(v) for v in nodes]
+    for i, xi in enumerate(map(Fraction, x)):
+        ref = []
+        for k, xk in enumerate(X):
+            lk = Fraction(1)
+            for xj in X[:k] + X[k + 1:]:
+                lk *= (xi - xj) / (xk - xj)
+            ref.append(lk)
+        for k, lk in enumerate(ref):
+            assert basis[k][i] == pytest.approx(float(lk), rel=1e-13, abs=0)
+        assert lam[i] == pytest.approx(float(sum(map(abs, ref))), rel=1e-13, abs=0)
 
 
 @given(st.integers(3, 9), st.floats(-0.99, 0.99))
@@ -289,10 +314,10 @@ def test_lebesgue_constant_at_least_dense_scan(name, kind, n, seed):
         op = InterpolationOperator.from_sequence(
             _property_sequence(name, 1.0 if kind == "leja" else 0.9), n)
     rep = op.lebesgue_constant(K)
-    # Lambda = sum |t_k| / |sum t_k|, and the denominator sums terms of total
-    # size sum |t_k| = lambda |sum t_k|: its rounding error, relative to
-    # itself, is a small multiple of eps * lambda. Two points at the same
-    # maximum can evaluate that far apart, so no scan resolves Lambda closer
+    # lambda_n and the dense samples are product-form values of the same flat
+    # peak, each within a small multiple of n * eps of the exact Lambda, so
+    # the scan may read a few ulps below the best sample: 1e-12 covers that,
+    # and the 64 eps lambda term (it counts only for lambda > 70) is margin
     rel = max(1e-12, 64.0 * np.finfo(float).eps * rep.lambda_n)
     assert rep.lambda_n >= (1.0 - rel) * _dense_piece_max(op, K)
     assert op.lebesgue_function(rep.argmax_x) == rep.lambda_n

@@ -76,6 +76,16 @@ def test_quasi_reduces_to_exact_at_tau_one(K_unit):
     assert a.points == b.points
 
 
+def test_quasi_fallback_near_tau_one_is_exact_mode(K_unit):
+    # at tau = 1 - 1e-12 almost every step finds no grid point within the
+    # relaxation of the refined maximum and falls back to the refined argmax,
+    # which is the exact-mode choice
+    a = leja_sequence(K_unit, 60)
+    b = quasi_leja_sequence(K_unit, 60, 1.0 - 1e-12, rng_seed=3)
+    assert a.points == b.points
+    assert a.achieved_ratios == b.achieved_ratios
+
+
 def test_quasi_seed_reproducible(K_unit):
     a = quasi_leja_sequence(K_unit, 30, 0.8, rng_seed=5)
     b = quasi_leja_sequence(K_unit, 30, 0.8, rng_seed=5)
@@ -106,8 +116,7 @@ def test_audit_rejects_tampered_sequence(K_unit):
     bad = PointSequence(points=tuple(pts), tau=1.0,
                         grid_density=seq.grid_density, rng_seed=None,
                         x0_policy=seq.x0_policy,
-                        achieved_ratios=seq.achieved_ratios,
-                        step_log_maxima=seq.step_log_maxima)
+                        achieved_ratios=seq.achieved_ratios)
     rep = verify_quasi_leja(bad, K_unit, tau=1.0)
     assert not rep.ok
 

@@ -362,7 +362,7 @@ def test_basis_vs_switching_bitwise_equals_public_path():
 ])
 def test_basis_vs_switching_checks_the_suffix(points, tau, message):
     seq = PointSequence(points=points, tau=tau, grid_density=1.0, rng_seed=None,
-                        x0_policy="right", achieved_ratios=(), step_log_maxima=())
+                        x0_policy="right", achieved_ratios=())
     with pytest.raises(ValidationError, match=message):
         basis_vs_switching(seq, 1, 5.0)
     with pytest.raises(ValidationError, match=message):
