@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from lejabounds import (PointSequence, ValidationError, check_separation,
-                        leja_sequence, make_union, quasi_leja_sequence,
-                        separation_floor, verify_quasi_leja)
+from lejabounds import (CompactSet, PointSequence, ValidationError,
+                        cantor_approx, check_separation, leja_sequence,
+                        make_union, quasi_leja_sequence, separation_floor,
+                        verify_quasi_leja)
+from lejabounds import leja
 
 INV_SQRT3 = 0.5773502691896258
 
@@ -28,6 +30,15 @@ def test_x0_policies(K_two):
         leja_sequence(K_two, 1, x0=1.5)
 
 
+def test_integer_endpoints_give_the_same_points(K_two):
+    # a CompactSet keeps its endpoints as given, so x0 may be an int
+    K_int = CompactSet(((0, 1), (2, 3)))
+    for x0 in ("right", "left"):
+        assert leja_sequence(K_int, 30, x0=x0) == leja_sequence(K_two, 30, x0=x0)
+        assert (quasi_leja_sequence(K_int, 30, 0.9, rng_seed=1, x0=x0)
+                == quasi_leja_sequence(K_two, 30, 0.9, rng_seed=1, x0=x0))
+
+
 def test_points_distinct_and_inside(leja_unit_100, K_unit):
     pts = np.asarray(leja_unit_100.points)
     assert len(np.unique(pts)) == len(pts)
@@ -38,12 +49,18 @@ def test_exact_mode_ratios_are_one(leja_unit_100):
     assert all(r == 1.0 for r in leja_unit_100.achieved_ratios)
 
 
-def _per_gap_log_max(nodes):
-    """max over [-1, 1] of sum_j log|x - x_j| for nodes that include -1 and
-    1: P is strictly concave between consecutive nodes, so each gap holds
-    one maximum, the root of P' found by Newton with bisection safeguard."""
+def _piece_max(nodes, intervals=((-1.0, 1.0),)):
+    """Per piece of the union cut at the nodes, (a, b, x, P(x)) with x the
+    maximizer of P(x) = sum_j log|x - x_j| on [a, b]. P is strictly concave
+    on a piece, so it peaks at the root of P' (Newton with bisection
+    safeguard) or, when P' keeps one sign, at an end that is not a node;
+    such ends are taken first on ties."""
     s = np.sort(nodes)
-    a, b = s[:-1].copy(), s[1:].copy()
+    cuts = [np.unique(np.concatenate(([lo, hi], s[(s >= lo) & (s <= hi)])))
+            for lo, hi in intervals]
+    a0 = np.concatenate([c[:-1] for c in cuts])
+    b0 = np.concatenate([c[1:] for c in cuts])
+    a, b = a0.copy(), b0.copy()
     x = 0.5 * (a + b)
     for _ in range(100):
         r = 1.0 / (x[:, None] - s[None, :])
@@ -51,7 +68,11 @@ def _per_gap_log_max(nodes):
         a, b = np.where(f > 0, x, a), np.where(f > 0, b, x)
         step = x - f / fp
         x = np.where((step > a) & (step < b), step, 0.5 * (a + b))
-    return float(np.max(np.log(np.abs(x[:, None] - s[None, :])).sum(axis=1)))
+    cand = np.stack([np.where(np.isin(a0, s), x, a0), np.where(np.isin(b0, s), x, b0), x])
+    with np.errstate(divide="ignore"):
+        vals = np.log(np.abs(cand[..., None] - s)).sum(axis=-1)
+    best = np.argmax(vals, axis=0), np.arange(len(x))
+    return a0, b0, cand[best], vals[best]
 
 
 def test_greedy_step_optimality(K_unit):
@@ -61,7 +82,72 @@ def test_greedy_step_optimality(K_unit):
     assert list(pts[:2]) == [1.0, -1.0]
     for k in range(2, 140):
         chosen = np.sum(np.log(np.abs(pts[k] - pts[:k])))
-        assert chosen >= _per_gap_log_max(pts[:k]) + math.log1p(-1e-12), k
+        assert chosen >= np.max(_piece_max(pts[:k])[3]) + math.log1p(-1e-12), k
+
+
+def test_step_takes_at_most_8_slope_evaluations(monkeypatch, K_unit, K_two):
+    # two end checks plus a few Newton steps from the grid argmax; a search
+    # that bisects after converging takes 20 to 50
+    calls, per_step = [0], []
+    slope, refine = leja._slope, leja._refine_step
+
+    def counted_slope(*args):
+        calls[0] += 1
+        return slope(*args)
+
+    def counted_refine(*args):
+        before = calls[0]
+        out = refine(*args)
+        per_step.append(calls[0] - before)
+        return out
+
+    monkeypatch.setattr(leja, "_slope", counted_slope)
+    monkeypatch.setattr(leja, "_refine_step", counted_refine)
+    K_cantor = cantor_approx(3, 1.0 / 3.0)
+    leja_sequence(K_unit, 400)
+    leja_sequence(K_two, 100)
+    verify_quasi_leja(quasi_leja_sequence(K_cantor, 120, 0.9, rng_seed=0), K_cantor)
+    assert len(per_step) == 399 + 99 + 2 * 119
+    assert max(per_step) <= 8
+
+
+def test_step_maximum_at_a_component_end_is_that_end(K_two):
+    # steps 1..78 from x0 = 3; step 79 keeps a grid point below the maximum
+    pts = np.asarray(leja_sequence(K_two, 79).points)
+    at_end = 0
+    for k in range(1, 79):
+        _, _, xs, vals = _piece_max(pts[:k], K_two.intervals)
+        x_max = xs[np.argmax(vals)]
+        chosen = np.sum(np.log(np.abs(pts[k] - pts[:k])))
+        assert chosen >= np.max(vals) + math.log1p(-1e-12), k
+        if x_max in np.ravel(K_two.intervals):
+            at_end += 1
+            assert pts[k] == x_max, k
+    assert at_end >= 3
+
+
+@pytest.mark.parametrize("intervals", [((-1.0, 1.0),), ((0.0, 1.0), (2.0, 3.0))])
+def test_refined_step_with_chosen_grid_points_as_bracket_ends(monkeypatch, intervals):
+    # on a coarse grid a tau = 0.5 draw often picks a neighbour of a later
+    # grid argmax, so the bracket ends on a chosen point, where P' has a pole
+    K = make_union(intervals)
+    steps, refine = [], leja._refine_step
+
+    def recorded(K, grid, cum, pts_arr, idx):
+        x, fx = refine(K, grid, cum, pts_arr, idx)
+        near = grid[max(idx - 1, 0)], grid[min(idx + 1, len(grid) - 1)]
+        steps.append((pts_arr.copy(), float(grid[idx]), x, fx, np.isin(near, pts_arr).any()))
+        return x, fx
+
+    monkeypatch.setattr(leja, "_refine_step", recorded)
+    quasi_leja_sequence(K, 60, 0.5, rng_seed=0, grid_density=100.0)
+    for pts, xg, x, fx, _ in steps:
+        a, b, xs, vals = _piece_max(pts, intervals)
+        piece = np.flatnonzero((a <= xg) & (xg <= b))
+        assert len(piece) == 1
+        assert abs(fx - vals[piece[0]]) <= 1e-12, (len(pts), fx, vals[piece[0]])
+        assert x not in pts
+    assert sum(chosen_end for *_, chosen_end in steps) >= 10
 
 
 def test_quasi_ratios_respect_tau(quasi_unit_seqs):
