@@ -1,9 +1,10 @@
 """Leja and tau-quasi-Leja point sequences on interval unions.
 
 Exact mode picks, at every step, the point of K maximizing the distance
-product to the points already chosen: the grid argmax, refined inside the
-two grid cells around it by a check of their ends and then Newton steps
-(ties toward the smaller abscissa). Quasi mode with relaxation tau picks
+product to the points already chosen: the grid argmax picks a piece of K
+(its component between the nearest chosen points), and the step is the
+maximum of the product on that piece, a free end or the one critical
+point found by Newton steps. Quasi mode with relaxation tau picks
 uniformly at random (seeded) among all grid points whose product reaches
 tau times the refined step maximum, falling back to the refined argmax
 when no grid point qualifies. Exact mode (tau = 1) is that fallback at
@@ -27,7 +28,7 @@ from .compact_set import CompactSet, ValidationError, _check_tau
 from .green import GreenModel
 
 DEFAULT_GRID_DENSITY = 10_000.0
-_NEWTON_ITERS = 100   # safety cap; a step takes a median of 5-6 slope evaluations, at most 8
+_NEWTON_ITERS = 100   # safety cap; a step takes a median of 3-4 slope evaluations, at most 5
 
 
 @dataclass(frozen=True)
@@ -94,23 +95,22 @@ def _slope(x: float, pts_arr) -> tuple[float, float]:
 
 
 def _refine_step(K: CompactSet, grid, cum, pts_arr, idx: int):
-    """Refine the grid argmax grid[idx] of the running log product P.
+    """Refine the grid argmax grid[idx] of the running log product P to
+    the maximum of P on its piece.
 
-    The bracket is the two grid cells around the argmax, clipped to its
-    component and to the nearest chosen point on each side. P is strictly
-    concave there, so its maximum is a bracket end whose P' points out of
-    the bracket (checked first, at the ends that are not chosen points), or
+    The piece is the component of the argmax, clipped to the nearest chosen
+    point on each side. P is strictly concave there, so its maximum is a
+    free component end whose P' points out of the piece (checked first), or
     else the root of P', found by Newton steps from the argmax: a step of
     at most 4 ulps has converged, and a step that leaves the bracket
-    bisects it. P is evaluated once, at the result. Returns floats
-    (x, P(x)).
+    bisects it. P is evaluated once, at the result, which replaces the
+    argmax when its P is strictly higher. Returns floats (x, P(x)).
     """
     xg, fg = float(grid[idx]), float(cum[idx])
     left = float(np.max(pts_arr, initial=-math.inf, where=pts_arr < xg))
     right = float(np.min(pts_arr, initial=math.inf, where=pts_arr > xg))
     c_lo, c_hi = K.component_of(xg)
-    lo = max(float(grid[max(idx - 1, 0)]), c_lo, left)
-    hi = min(float(grid[min(idx + 1, len(grid) - 1)]), c_hi, right)
+    lo, hi = max(c_lo, left), min(c_hi, right)
     if lo != left and _slope(lo, pts_arr)[0] <= 0.0:
         x = lo
     elif hi != right and _slope(hi, pts_arr)[0] >= 0.0:
@@ -129,13 +129,7 @@ def _refine_step(K: CompactSet, grid, cum, pts_arr, idx: int):
             x = step if a < step < b else 0.5 * (a + b)
     with np.errstate(divide="ignore"):
         fx = float(np.sum(np.log(np.abs(x - pts_arr))))
-    # accept the refined point only on a clear improvement: near-flat peaks
-    # evaluate with O(eps) noise per term and a noise-level "win" off the
-    # grid would break deterministic tie handling on symmetric sets
-    tol = 1e-12 * (1.0 + abs(fg))
-    if fx > fg + tol or (fx == fg + tol and x < xg):
-        return x, fx
-    return xg, fg
+    return (x, fx) if fx > fg else (xg, fg)
 
 
 def _greedy(K: CompactSet, grid, x0: float, n: int, choose) -> tuple[list, list]:

@@ -368,25 +368,24 @@ class BasisSwitchReport:
     log_switching: float
 
 
-def basis_vs_switching(seq, k: int, x: float, tau: float = None) -> BasisSwitchReport:
+def basis_vs_switching(seq, k: int, x: float) -> BasisSwitchReport:
     """|L_k(x)| on the first n sequence points against the switching
-    functional of (x_k, ..., x_{n-1}, x); the bound direction holds when the
-    sequence is tau-quasi-Leja (ok allows a relative excess of 1e-9). Skips
-    (ok vacuously) when x hits a node."""
+    functional of (x_k, ..., x_{n-1}, x) at the sequence's tau; the bound
+    direction holds when the sequence is tau-quasi-Leja (ok allows a
+    relative excess of 1e-9). Skips (ok vacuously) when x hits a node."""
     pts = np.asarray(seq.points, dtype=float)
     n = len(pts)
     if not 0 <= k < n:
         raise ValidationError("k out of range")
-    tau = seq.tau if tau is None else float(tau)
     if np.any(pts == x):
         return BasisSwitchReport(ok=True, skipped=True, k=k, x=x,
                                  log_basis=math.nan, log_switching=math.nan)
     chain = np.append(pts[k:], float(x))
-    _check_chain(chain, tau)
+    _check_chain(chain, seq.tau)
     others = np.concatenate((pts[:k], pts[k + 1:]))
     log_basis = float(np.sum(np.log(np.abs(x - others)))
                       - np.sum(np.log(np.abs(pts[k] - others))))
-    res = _optimal_chain(chain, tau)
+    res = _optimal_chain(chain, seq.tau)
     ok = log_basis <= res.log_value + math.log1p(1e-9)
     return BasisSwitchReport(ok=bool(ok), skipped=False, k=k, x=float(x),
                              log_basis=log_basis, log_switching=res.log_value)

@@ -243,7 +243,7 @@ def test_11_basis_values_below_switching(leja_unit_100, quasi_unit_seqs):
                         achieved_ratios=seq.achieved_ratios[:n - 1])
         for x in rng.uniform(-1, 1, 100):
             for k in range(n):
-                rep = basis_vs_switching(sub, k, float(x), tau=tau)
+                rep = basis_vs_switching(sub, k, float(x))
                 if rep.skipped:
                     skipped += 1
                     continue

@@ -122,6 +122,24 @@ def test_neighborhood_max_pure(model_unit):
     assert pickle.dumps(vars(model_unit)) == before
 
 
+def test_neighborhood_max_peaks_off_the_real_axis():
+    # the small component sits where g of the two outer intervals peaks in
+    # their gap, so g_yy = -g_xx > 0 there and the boundary curve peaks at
+    # the top of the circle around it, 1.2% above every real tip
+    K = make_union([(-2.0, -1.0), (-5e-4, 5e-4), (1.0, 2.0)])
+    model = build_green_model(K)
+    delta, r = 0.05, 0.1
+    G = model.neighborhood_max(delta)
+    fat = make_union([(lo - r, hi + r) for lo, hi in K.intervals])
+    tips = np.ravel(fat.intervals)
+    assert G >= 1.01 * np.max(model.value(tips + 0j))
+    x = np.concatenate([np.linspace(lo, hi, 200_000) for lo, hi in fat.intervals])
+    d = K._real_dist(x)
+    curve = model.value(x + 1j * np.sqrt(np.maximum(r * r - d * d, 0.0)))
+    assert abs(G - np.max(curve)) <= 1e-9 * G
+    assert abs(x[np.argmax(curve)]) < r
+
+
 def ends_and_gap_midpoints(K):
     ends = np.ravel(K.intervals)
     return ends, ends[1:-1].reshape(-1, 2).mean(axis=1)

@@ -76,8 +76,9 @@ def _piece_max(nodes, intervals=((-1.0, 1.0),)):
 
 
 def test_greedy_step_optimality(K_unit):
-    # every step before the grid bracket first misses the maximum (step 140)
-    # reaches the true maximum over K of the product against earlier points
+    # every step before the grid argmax first falls in a lower piece (step
+    # 140) reaches the true maximum over K of the product against earlier
+    # points
     pts = np.asarray(leja_sequence(K_unit, 140).points)
     assert list(pts[:2]) == [1.0, -1.0]
     for k in range(2, 140):
@@ -85,9 +86,10 @@ def test_greedy_step_optimality(K_unit):
         assert chosen >= np.max(_piece_max(pts[:k])[3]) + math.log1p(-1e-12), k
 
 
-def test_step_takes_at_most_8_slope_evaluations(monkeypatch, K_unit, K_two):
-    # two end checks plus a few Newton steps from the grid argmax; a search
-    # that bisects after converging takes 20 to 50
+def test_step_takes_at_most_6_slope_evaluations(monkeypatch, K_unit, K_two):
+    # a check at each free component end of the piece, then a few Newton
+    # steps from the grid argmax; a search that bisects after converging
+    # takes 20 to 50
     calls, per_step = [0], []
     slope, refine = leja._slope, leja._refine_step
 
@@ -108,28 +110,35 @@ def test_step_takes_at_most_8_slope_evaluations(monkeypatch, K_unit, K_two):
     leja_sequence(K_two, 100)
     verify_quasi_leja(quasi_leja_sequence(K_cantor, 120, 0.9, rng_seed=0), K_cantor)
     assert len(per_step) == 399 + 99 + 2 * 119
-    assert max(per_step) <= 8
+    assert max(per_step) <= 6
 
 
-def test_step_maximum_at_a_component_end_is_that_end(K_two):
-    # steps 1..78 from x0 = 3; step 79 keeps a grid point below the maximum
-    pts = np.asarray(leja_sequence(K_two, 79).points)
+@pytest.mark.parametrize("intervals,n,ends", [(((0.0, 1.0), (2.0, 3.0)), 100, 3),
+                                              (((-1.0, -0.3), (0.3, 1.0)), 160, 2)],
+                         ids=["two-intervals", "symmetric-gap"])
+def test_step_maximum_at_a_component_end_is_that_end(intervals, n, ends):
+    # every step from x0 = right, step 79 of the first set and step 53 of
+    # the second too, where the refined point beats the grid point by about
+    # 1e-11 in log; step 169 of the second set is the first whose grid
+    # argmax falls in a lower piece
+    pts = np.asarray(leja_sequence(make_union(intervals), n).points)
     at_end = 0
-    for k in range(1, 79):
-        _, _, xs, vals = _piece_max(pts[:k], K_two.intervals)
+    for k in range(1, n):
+        _, _, xs, vals = _piece_max(pts[:k], intervals)
         x_max = xs[np.argmax(vals)]
         chosen = np.sum(np.log(np.abs(pts[k] - pts[:k])))
         assert chosen >= np.max(vals) + math.log1p(-1e-12), k
-        if x_max in np.ravel(K_two.intervals):
+        if x_max in np.ravel(intervals):
             at_end += 1
             assert pts[k] == x_max, k
-    assert at_end >= 3
+    assert at_end == ends
 
 
 @pytest.mark.parametrize("intervals", [((-1.0, 1.0),), ((0.0, 1.0), (2.0, 3.0))])
 def test_refined_step_with_chosen_grid_points_as_bracket_ends(monkeypatch, intervals):
-    # on a coarse grid a tau = 0.5 draw often picks a neighbour of a later
-    # grid argmax, so the bracket ends on a chosen point, where P' has a pole
+    # on a coarse grid a tau = 0.5 draw often picks a grid neighbour of a
+    # later grid argmax, so the Newton steps start one cell from a chosen
+    # point, where P' has a pole
     K = make_union(intervals)
     steps, refine = [], leja._refine_step
 

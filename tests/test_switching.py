@@ -310,12 +310,12 @@ def test_basis_bound_on_quasi(quasi_unit_seqs, rng):
 def test_basis_bound_on_exact(leja_unit_100, rng):
     for x in rng.uniform(-1, 1, 10):
         for k in (0, 3, 11):
-            rep = basis_vs_switching(leja_unit_100, k, float(x), tau=1.0)
+            rep = basis_vs_switching(leja_unit_100, k, float(x))
             assert rep.skipped or rep.ok
 
 
 def test_basis_bound_node_hit_skips(leja_unit_100):
-    rep = basis_vs_switching(leja_unit_100, 2, leja_unit_100.points[5], tau=1.0)
+    rep = basis_vs_switching(leja_unit_100, 2, leja_unit_100.points[5])
     assert rep.skipped and rep.ok
 
 
