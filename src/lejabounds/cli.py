@@ -23,13 +23,14 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import _bound, _check_args, optimize_bound, switching_constant
-from .compact_set import CompactSet, ValidationError, cantor_approx, from_spec, make_union
+from .compact_set import (CompactSet, ValidationError, _check_tau, cantor_approx, from_spec,
+                          make_union)
 from .green import GreenBuildError, build_green_model, green_interval_analytic
 from .inequalities import (ineq1_log_margin, ineq2_log_margin,
                            ineq2_tightness_scan, ineq3_log_margin, ineq4)
 from .interp import InterpolationOperator
-from .leja import (DEFAULT_GRID_DENSITY, check_separation, leja_sequence,
-                   quasi_leja_sequence, verify_quasi_leja)
+from .leja import (DEFAULT_GRID_DENSITY, check_separation, quasi_leja_sequence,
+                   verify_quasi_leja)
 from .switching import (SwitchingInstance, chain_log_value, brute_force_log_min,
                         check_spread_bound, naive_strategy, optimal_switching,
                         two_track_strategy, worst_case_instance)
@@ -52,7 +53,7 @@ def _parse_range(spec: str):
 def _build_set(args) -> CompactSet:
     if args.cantor_depth is not None:
         return cantor_approx(args.cantor_depth, args.cantor_ratio)
-    if args.set_spec:
+    if args.set_spec is not None:
         pairs = []
         for part in args.set_spec.split(";"):
             part = part.strip()
@@ -68,8 +69,7 @@ def _build_set(args) -> CompactSet:
 
 
 def _build_sequence(K: CompactSet, n: int, args):
-    if args.tau >= 1.0:
-        return leja_sequence(K, n, x0=args.x0, grid_density=args.grid_density)
+    """tau = 1 is exact greedy: no step draws, so the seed only shows in --json."""
     return quasi_leja_sequence(K, n, args.tau, rng_seed=args.seed,
                                x0=args.x0, grid_density=args.grid_density)
 
@@ -206,6 +206,7 @@ def _cmd_itau(args) -> tuple[str, dict, bool]:
 
 def _verify_checks(args):
     """Return (name, callable) pairs; each callable returns (ok, detail)."""
+    _check_tau(args.tau)
     K = _build_set(args)
     seq = quasi_leja_sequence(K, 40, args.tau if args.tau < 1.0 else 0.9, rng_seed=args.seed,
                               grid_density=args.grid_density, x0=args.x0)

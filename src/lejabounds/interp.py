@@ -40,10 +40,16 @@ class InterpolationOperator:
         if len(np.unique(nodes)) != len(nodes):
             raise ValidationError("nodes must be distinct")
         self.nodes = nodes
-        diff = nodes[:, None] - nodes[None, :]
-        np.fill_diagonal(diff, 1.0)
-        self._log_w = -np.log(np.abs(diff)).sum(axis=1)
-        self._w = np.sign(diff).prod(axis=1) * np.exp(self._log_w - self._log_w.max())
+        n = len(nodes)
+        self._log_w = np.empty(n)
+        rows = max(1, _BLOCK_ENTRIES // n)
+        for r0 in range(0, n, rows):
+            d = nodes[r0:r0 + rows, None] - nodes
+            d[np.arange(len(d)), np.arange(r0, r0 + len(d))] = 1.0
+            self._log_w[r0:r0 + rows] = -np.log(np.abs(d, out=d), out=d).sum(axis=1)
+        # sign(w_k) = (-1)^(number of nodes above x_k)
+        above = n - 1 - np.argsort(np.argsort(nodes))
+        self._w = (1 - 2 * (above % 2)) * np.exp(self._log_w - self._log_w.max())
 
     @classmethod
     def from_sequence(cls, seq, n: int = None) -> "InterpolationOperator":

@@ -246,9 +246,10 @@ def separation_floor(model: GreenModel, tau: float, n: int, delta: float) -> flo
 
 def check_separation(seq: PointSequence, model: GreenModel) -> SeparationReport:
     """Check the sequence's min separation against the best floor on a log
-    grid of 20 deltas over [1e-4, diam K]; ok iff it is at most 1e-12 below."""
+    grid of 20 deltas over [1e-4 diam K, diam K], so the floor scales with
+    K; ok iff it is at most 1e-12 below."""
     n = len(seq)
-    deltas = np.geomspace(1e-4, model.set.diam, 20)
+    deltas = np.geomspace(1e-4 * model.set.diam, model.set.diam, 20)
     floors = [separation_floor(model, seq.tau, n, float(d)) for d in deltas]
     i = int(np.argmax(floors))
     sep = seq.min_separation()

@@ -13,18 +13,19 @@ breakpoints (edge a -> b costs log(1/tau) + sum_{a <= j < b} log|x_b - x_j|).
 The dynamic program runs over row blocks of 64 breakpoints of the suffix
 table of those sums, in O(q^2) time and O(64 q) memory.
 
-Equivalently, after recentering x_0 = 0, a chain is a rule assigning each
-j < q a reference point X_j = x_{n_{l+1}} for n_l <= j < n_{l+1}, and
+Equivalently, a chain is a rule assigning each j < q a reference point
+X_j = x_{n_{l+1}} for n_l <= j < n_{l+1}, and
 
-    value = tau^-m * |X_0| / |x_q| * prod_{j=1..q-1} |X_j - x_j| / |x_j| .
+    value = tau^-m * prod_{j=0..q-1} |X_j - x_j| / |x_0 - x_{j+1}| .
 
-Two explicit rules are implemented in that frame. The naive rule switches
-whenever the new point is closer to the origin; its value never exceeds
-tau^-q 2^(q-1). The two-track rule keeps a negative and a positive
+Every value here is that product: the DP and the two explicit rules only
+choose breakpoints, the rules after recentering x_0 = 0. The naive rule
+switches whenever the new point is closer to the origin; its value never
+exceeds tau^-q 2^(q-1). The two-track rule keeps a negative and a positive
 candidate reference (-a_s, b_s), switches only when a point lands inside
-(-e^-lam * a_s, e^-lam * b_s), and evaluates the cheapest admissible path
-through those states exactly by a two-state dynamic program; lam is the
-switching constant. Its value obeys the spread bound
+(-e^-lam * a_s, e^-lam * b_s), and takes the cheapest admissible path
+through those states by a two-state dynamic program; lam is the switching
+constant. Its value obeys the spread bound
 
     (2 / tau^2) * (D / Delta)^(9/8 + 2 log(1/tau) / lam)
 
@@ -94,18 +95,24 @@ class SwitchingResult:
         return _exp(self.log_value)
 
 
+def _chain_value(pts: np.ndarray, breakpoints, tau: float) -> float:
+    """Log value of a valid chain on the points (x_0, ..., x_q): the sum over
+    j < q of log|X_j - x_j| - log|x_0 - x_{j+1}|, X_j the point that ends j's
+    segment, plus log(1/tau) per segment. math.fsum adds the paired terms
+    with one rounding, so no two large log sums cancel."""
+    bp = np.asarray(breakpoints)
+    refs = np.repeat(pts[bp[1:]], np.diff(bp))
+    logs = np.log(np.abs(refs - pts[:-1])) - np.log(np.abs(pts[0] - pts[1:]))
+    logs[bp[1:] - 1] -= math.log(tau)
+    return math.fsum(logs.tolist())
+
+
 def chain_log_value(inst: SwitchingInstance, breakpoints) -> float:
     """Objective of one explicit breakpoint chain, in log space."""
     bp = list(breakpoints)
-    q = inst.q
-    if bp[0] != 0 or bp[-1] != q or any(u >= v for u, v in zip(bp, bp[1:])):
+    if bp[0] != 0 or bp[-1] != inst.q or any(u >= v for u, v in zip(bp, bp[1:])):
         raise ValidationError("breakpoints must increase from 0 to q")
-    pts = np.asarray(inst.points)
-    num = 0.0
-    for u, v in zip(bp, bp[1:]):
-        num += float(np.sum(np.log(np.abs(pts[v] - pts[u:v]))))
-    den = float(np.sum(np.log(np.abs(pts[0] - pts[1:]))))
-    return (len(bp) - 1) * math.log(1.0 / inst.tau) + num - den
+    return _chain_value(np.asarray(inst.points), bp, inst.tau)
 
 
 def optimal_switching(inst: SwitchingInstance) -> SwitchingResult:
@@ -142,9 +149,7 @@ def _optimal_chain(pts: np.ndarray, tau: float) -> SwitchingResult:
     while bp[-1] != 0:
         bp.append(int(pred[bp[-1]]))
     bp.reverse()
-    dist_q = float(cand[i])                # the loop ends at b = q
-    den = float(np.sum(np.log(np.abs(pts[0] - pts[1:]))))
-    return SwitchingResult(log_value=dist_q - den,
+    return SwitchingResult(log_value=_chain_value(pts, bp, tau),
                            breakpoints=tuple(bp), m=len(bp) - 1)
 
 
@@ -205,52 +210,41 @@ class StrategyTrace:
         return (0, *sorted(self.switches), len(self.references))
 
 
-def _trace_log_value(y: np.ndarray, refs, switches, tau: float) -> float:
-    """Value of an explicit reference assignment in the recentered frame."""
-    q = len(y) - 1
-    total = (len(switches) + 1) * math.log(1.0 / tau) + math.log(abs(refs[0]))
-    for j in range(1, q):
-        total += math.log(abs(refs[j] - y[j])) - math.log(abs(y[j]))
-    total -= math.log(abs(y[q]))
-    return total
+def _trace(kind: str, pts: np.ndarray, refs: np.ndarray, tau: float, **extra) -> StrategyTrace:
+    """The trace of a reference assignment: it switches at each j where
+    refs[j-1] != refs[j], and is valued by that chain."""
+    sw = tuple(j for j in range(1, len(refs)) if refs[j - 1] != refs[j])
+    return StrategyTrace(kind=kind, log_value=_chain_value(pts, (0, *sw, len(refs)), tau),
+                         m=len(sw) + 1, switches=sw, references=tuple(refs), **extra)
 
 
-def _switches(refs) -> tuple:
-    """Positions j where the reference changes, refs[j-1] != refs[j]."""
-    return tuple(j for j in range(1, len(refs)) if refs[j - 1] != refs[j])
-
-
-def _one_track(y: np.ndarray, refs: np.ndarray, js, shrink: float, lt: float) -> float:
+def _one_track(y: np.ndarray, refs: np.ndarray, js, shrink: float) -> None:
     """Single-reference rule over the descending steps js, starting from
-    X = refs[js[0]]: add log(|X - y_j| / |y_j|), switch X to y_j when
-    |y_j| < shrink * |X| (adding lt) and set refs[j-1] = X. Returns the sum."""
-    cost = 0.0
+    X = refs[js[0]]: switch X to y_j when |y_j| < shrink * |X| and set
+    refs[j-1] = X."""
     for j in js:
         X = refs[j]
-        cost += math.log(abs(X - y[j])) - math.log(abs(y[j]))
         if abs(y[j]) < shrink * abs(X):
             X = y[j]
-            cost += lt
         refs[j - 1] = X
-    return cost
 
 
 def naive_strategy(inst: SwitchingInstance) -> StrategyTrace:
     """Right-to-left greedy rule: switch whenever the new point is closer
-    to the recentered origin than the current reference."""
+    to the recentered origin than the current reference; valued by its
+    chain."""
     pts = np.asarray(inst.points)
     y = pts - pts[0]
     refs = np.empty(inst.q)
     refs[-1] = y[-1]
-    _one_track(y, refs, range(inst.q - 1, 0, -1), 1.0, 0.0)
-    switches = _switches(refs)
-    return StrategyTrace(kind="naive", log_value=_trace_log_value(y, refs, switches, inst.tau),
-                         m=len(switches) + 1, switches=switches, references=tuple(refs))
+    _one_track(y, refs, range(inst.q - 1, 0, -1), 1.0)
+    return _trace("naive", pts, refs, inst.tau)
 
 
 def two_track_strategy(inst: SwitchingInstance) -> StrategyTrace:
     """Reference-pair rule with shrink threshold e^-lam (lam is the switching
-    constant), evaluated exactly over its admissible paths by a two-state DP.
+    constant): a two-state DP picks its cheapest admissible path, which is
+    then valued by its chain.
 
     After recentering and flipping signs so x_q > 0, points are consumed
     right to left. While everything is positive a single reference is kept,
@@ -258,8 +252,8 @@ def two_track_strategy(inst: SwitchingInstance) -> StrategyTrace:
     the last negative point on, a negative and a positive candidate (-a, b)
     evolve: a point inside (-e^-lam a, e^-lam b) forces the matching-sign
     track to switch to it and lets the opposite track switch optionally;
-    points outside never switch. The cheapest path through these states is
-    the trace value.
+    points outside never switch. The DP compares the two tracks' costs up
+    to the offset they share.
     """
     es = math.exp(-switching_constant())
     pts = np.asarray(inst.points)
@@ -274,17 +268,14 @@ def two_track_strategy(inst: SwitchingInstance) -> StrategyTrace:
 
     refs = np.empty(q)
     refs[q - 1] = y[q]
-    cost_head = _one_track(y, refs, range(q - 1, qprime, -1), es, lt)
+    _one_track(y, refs, range(q - 1, qprime, -1), es)
     stages = []                    # [a, b, within-stage log_p, log_q] per stage
-    if qprime == 0:
-        lv = cost_head + lt + math.log(refs[0]) - math.log(y[q])
-    else:
+    if qprime > 0:
         # from j = qprime on, track P references -a (entering it is a switch)
         # and Q references b; steps[k] = (j, a, b after step j, parent of P,
         # parent of Q) with 0 = P and 1 = Q
         a, b = float(-y[qprime]), float(refs[qprime])
-        cost_head += math.log(a + b) - math.log(a)
-        cost_p, cost_q = lt, 0.0   # relative to cost_head
+        cost_p, cost_q = lt, 0.0
         stages.append([a, b, 0.0, 0.0])
         steps = [(qprime, a, b, 0, 1)]
         for j in range(qprime - 1, 0, -1):
@@ -305,19 +296,14 @@ def two_track_strategy(inst: SwitchingInstance) -> StrategyTrace:
                     cost_p, cost_q, a, pp = best, cost_q + rq, -yj, parent
                 stages.append([a, b, 0.0, 0.0])
             steps.append((j, a, b, pp, pq))
-        end_p, end_q = cost_p + math.log(a), cost_q + math.log(b)
-        lv = cost_head + min(end_p, end_q) + lt - math.log(y[q])
-        track = 0 if end_p <= end_q else 1
+        track = 0 if cost_p + math.log(a) <= cost_q + math.log(b) else 1
         for j, a, b, pp, pq in reversed(steps):
             refs[j - 1] = -a if track == 0 else b
             track = (pp, pq)[track]
 
-    switches = _switches(refs)
-    return StrategyTrace(
-        kind="two_track", log_value=lv, m=len(switches) + 1, switches=switches,
-        references=tuple(refs), flipped=flipped,
-        stages=tuple(StageInfo(a=sa, b=sb, alpha=sb / (sa + sb), beta=sa / (sa + sb),
-                               log_p=lp, log_q=lq) for sa, sb, lp, lq in stages))
+    return _trace("two_track", pts, refs, inst.tau, flipped=flipped,
+                  stages=tuple(StageInfo(a=sa, b=sb, alpha=sb / (sa + sb), beta=sa / (sa + sb),
+                                         log_p=lp, log_q=lq) for sa, sb, lp, lq in stages))
 
 
 def spread_log_bound(d_max: float, d_min: float, tau: float) -> float:
@@ -383,8 +369,8 @@ def basis_vs_switching(seq, k: int, x: float) -> BasisSwitchReport:
     chain = np.append(pts[k:], float(x))
     _check_chain(chain, seq.tau)
     others = np.concatenate((pts[:k], pts[k + 1:]))
-    log_basis = float(np.sum(np.log(np.abs(x - others)))
-                      - np.sum(np.log(np.abs(pts[k] - others))))
+    log_basis = math.fsum((np.log(np.abs(x - others))
+                           - np.log(np.abs(pts[k] - others))).tolist())
     res = _optimal_chain(chain, seq.tau)
     ok = log_basis <= res.log_value + math.log1p(1e-9)
     return BasisSwitchReport(ok=bool(ok), skipped=False, k=k, x=float(x),

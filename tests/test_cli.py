@@ -269,6 +269,13 @@ def test_usage_errors(tmp_path, capsys):
     (("bound", "--n", "5", "--deltas", "0"), "deltas must be at least 1"),
     (("itau", "--count", "-1"), "count must be at least 1"),
     (("itau", "--count", "0"), "count must be at least 1"),
+    (("points", "--n", "3", "--tau", "1.5"), "tau must lie in (0, 1]"),
+    (("points", "--n", "3", "--tau", "inf"), "tau must lie in (0, 1]"),
+    (("lebesgue", "--n", "3", "--tau", "1.5"), "tau must lie in (0, 1]"),
+    (("verify", "--tau", "1.5"), "tau must lie in (0, 1]"),
+    (("verify", "--tau", "0"), "tau must lie in (0, 1]"),
+    (("points", "--n", "3", "--seed", "-1"), "seed must be nonnegative"),
+    (("points", "--n", "3", "--set", ""), "empty set"),
 ])
 def test_bad_seed_huge_set_and_audit_tau_are_usage_errors(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", "error: %s\n" % message)

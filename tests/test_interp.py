@@ -93,6 +93,21 @@ def test_lebesgue_scan_memory_bounded(K_unit):
     assert 1.0 < rep.lambda_n < 2 / np.pi * np.log(1000) + 1
 
 
+def test_operator_memory_bounded():
+    # 3000 Chebyshev nodes: an n x n difference matrix alone would take 72 MB
+    theta = (2 * np.arange(3000) + 1) * np.pi / 6000
+    tracemalloc.start()
+    try:
+        op = InterpolationOperator(np.cos(theta))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+    # the weights across all row blocks: w_k is proportional to (-1)^k sin(theta_k)
+    expect = (-1.0) ** np.arange(3000) * np.sin(theta)
+    np.testing.assert_allclose(op._w, expect / expect.max(), rtol=1e-9, atol=0)
+
+
 def test_lebesgue_constant_chebyshev_small(K_unit):
     nodes = np.cos((2 * np.arange(12) + 1) * np.pi / 24)
     rep = InterpolationOperator(nodes).lebesgue_constant(K_unit)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lejabounds import (CompactSet, PointSequence, ValidationError,
-                        cantor_approx, check_separation, leja_sequence,
+                        build_green_model, cantor_approx, check_separation, leja_sequence,
                         make_union, quasi_leja_sequence, separation_floor,
                         verify_quasi_leja)
 from lejabounds import leja
@@ -258,6 +258,18 @@ def test_separation_holds_for_quasi(quasi_unit_seqs, model_unit):
             continue
         rep = check_separation(seq, model_unit)
         assert rep.ok, (tau, seed, rep.margin)
+
+
+def test_separation_check_is_scale_invariant():
+    # [0, s] u [2s, 3s]: floor and best delta scale with the set
+    ref = None
+    for s in (1.0, 1e-3, 1e-6):
+        K = make_union([(0.0, s), (2.0 * s, 3.0 * s)])
+        seq = quasi_leja_sequence(K, 40, 0.9, grid_density=1e4 / s)
+        rep = check_separation(seq, build_green_model(K))
+        got = (rep.floor / K.diam, rep.best_delta / K.diam)
+        ref = ref or got
+        assert got == pytest.approx(ref, rel=1e-6), s
 
 
 def test_bad_args(K_unit):

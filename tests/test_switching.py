@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from lejabounds import (InterpolationOperator, PointSequence, SwitchingInstance,
                         naive_strategy, optimal_switching, quasi_leja_sequence,
                         spread_bound, spread_log_bound, switching_constant,
                         two_track_strategy, worst_case_instance)
-from lejabounds.switching import BasisSwitchReport, _trace_log_value
+from lejabounds.switching import BasisSwitchReport
 
 
 def rand_instance(rng, q, tau, lo=-1.0, hi=1.0, min_gap=1e-3):
@@ -134,28 +135,63 @@ def test_naive_trace_consistent(rng):
     for _ in range(100):
         inst = rand_instance(rng, int(rng.integers(1, 12)), 0.7)
         tr = naive_strategy(inst)
-        y = np.asarray(inst.points) - inst.points[0]
-        redo = _trace_log_value(y, tr.references, tr.switches, inst.tau)
-        assert redo == pytest.approx(tr.log_value, abs=1e-10)
         assert tr.m == len(tr.switches) + 1
-        # the trace is a valid chain: its value is attainable
-        bp = tr.breakpoints()
-        assert chain_log_value(inst, bp) == pytest.approx(tr.log_value, abs=1e-9)
+        # the trace is a valid chain, valued by it
+        assert chain_log_value(inst, tr.breakpoints()) == tr.log_value
 
 
 def test_two_track_trace_consistent(rng):
     for _ in range(200):
         inst = rand_instance(rng, int(rng.integers(1, 15)), float(rng.uniform(0.3, 1.0)))
         tr = two_track_strategy(inst)
-        y = np.asarray(inst.points) - inst.points[0]
-        if tr.flipped:
-            y = -y
-        redo = _trace_log_value(y, tr.references, tr.switches, inst.tau)
-        assert redo == pytest.approx(tr.log_value, abs=1e-10)
         dp = optimal_switching(inst)
         assert tr.log_value >= dp.log_value - 1e-9
-        bp = tr.breakpoints()
-        assert chain_log_value(inst, bp) == pytest.approx(tr.log_value, abs=1e-9)
+        assert chain_log_value(inst, tr.breakpoints()) == tr.log_value
+
+
+def decimal_chain_log(inst, breakpoints):
+    """log value of a chain at 50 digits: the exact products of the double
+    inputs' distances, rounded to 50 digits, then one decimal log."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        x = [decimal.Decimal(v) for v in inst.points]
+        num = den = decimal.Decimal(1)
+        for u, v in zip(breakpoints, breakpoints[1:]):
+            for j in range(u, v):
+                num *= abs(x[v] - x[j])
+        for xj in x[1:]:
+            den *= abs(x[0] - xj)
+        m = len(breakpoints) - 1
+        return m * (1 / decimal.Decimal(inst.tau)).ln() + (num / den).ln()
+
+
+def test_chain_values_match_a_50_digit_reference():
+    rng = np.random.default_rng(18)
+    insts = [rand_instance(rng, int(rng.integers(20, 81)), float(rng.uniform(0.3, 1.0)))
+             for _ in range(120)]
+    insts += [worst_case_instance(0.5, 10), worst_case_instance(0.7, 12)]
+    worst = {}
+    for inst in insts:
+        res = optimal_switching(inst)
+        every = tuple(range(inst.q + 1))
+        values = {"optimal": (res.log_value, res.breakpoints),
+                  "every_step": (chain_log_value(inst, every), every)}
+        for tr in (naive_strategy(inst), two_track_strategy(inst)):
+            values[tr.kind] = (tr.log_value, tr.breakpoints())
+        for name, (got, bp) in values.items():
+            err = float(abs(decimal.Decimal(got) - decimal_chain_log(inst, bp)))
+            worst[name] = max(worst.get(name, 0.0), err)
+    assert max(worst.values()) <= 3e-14, worst
+
+
+def test_chain_values_past_the_double_range():
+    # distances from 1e-300 to 1e300: a quotient of two of them overflows
+    inst = SwitchingInstance((0.0, 1e300, 1e-300, -1e-200, 3e150), 0.9)
+    every = tuple(range(inst.q + 1))
+    res, nai, two = optimal_switching(inst), naive_strategy(inst), two_track_strategy(inst)
+    for got, bp in ((res.log_value, res.breakpoints), (chain_log_value(inst, every), every),
+                    (nai.log_value, nai.breakpoints()), (two.log_value, two.breakpoints())):
+        assert got == pytest.approx(float(decimal_chain_log(inst, bp)), rel=0, abs=1e-12)
 
 
 def test_two_track_stage_invariants(rng):
@@ -327,8 +363,8 @@ def basis_vs_switching_reference(seq, k, x):
         return BasisSwitchReport(ok=True, skipped=True, k=k, x=x,
                                  log_basis=math.nan, log_switching=math.nan)
     others = np.delete(np.arange(len(pts)), k)
-    log_basis = float(np.sum(np.log(np.abs(x - pts[others])))
-                      - np.sum(np.log(np.abs(pts[k] - pts[others]))))
+    log_basis = math.fsum((np.log(np.abs(x - pts[others]))
+                           - np.log(np.abs(pts[k] - pts[others]))).tolist())
     res = optimal_switching(SwitchingInstance(points=tuple(pts[k:]) + (float(x),), tau=seq.tau))
     return BasisSwitchReport(ok=bool(log_basis <= res.log_value + math.log1p(1e-9)),
                              skipped=False, k=k, x=float(x),
@@ -402,7 +438,8 @@ def test_worst_case_defeats_all_chains(q, tau):
 
 def per_breakpoint_dp(inst):
     """The DP one breakpoint b at a time: a fresh suffix cumsum of
-    log|x_b - x_j| per b, the form the row-blocked kernel must reproduce."""
+    log|x_b - x_j| per b, the form the row-blocked kernel must reproduce,
+    and the value of the chain it picks."""
     pts = np.asarray(inst.points)
     q = inst.q
     lt = math.log(1.0 / inst.tau)
@@ -419,8 +456,8 @@ def per_breakpoint_dp(inst):
     bp = [q]
     while bp[-1] != 0:
         bp.append(int(pred[bp[-1]]))
-    den = float(np.sum(np.log(np.abs(pts[0] - pts[1:]))))
-    return float(dist[q]) - den, tuple(reversed(bp))
+    bp.reverse()
+    return chain_log_value(inst, bp), tuple(bp)
 
 
 @pytest.mark.parametrize("q", [1, 2, 63, 64, 65, 128, 129, 300])
