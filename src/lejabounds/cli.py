@@ -383,7 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_config(parser, args, argv):
     """Parse argv again with the config file's values as the subcommand's
-    defaults, so explicit flags win and argparse converts and checks them.
+    defaults, so explicit flags win. Values go in as strings, which argparse
+    converts and checks exactly as the same flag's (a bad one exits 2).
+    On/off flags such as --json take only true or false, and null keeps the
+    default.
     Keys that name no option of the subcommand are ignored."""
     if not args.config:
         return args
@@ -394,9 +397,13 @@ def _apply_config(parser, args, argv):
         # structured set spec, same shape from_spec accepts
         cfg["set"] = ";".join("%r,%r" % iv for iv in from_spec(cfg["set"]).intervals)
     sub = next(a for a in parser._actions if a.dest == "command").choices[args.command]
-    options = {a.dest for a in sub._actions}
+    options = {a.dest: a for a in sub._actions}
     dests = {("set_spec" if k == "set" else k.replace("-", "_")): v for k, v in cfg.items()}
-    sub.set_defaults(**{d: v for d, v in dests.items() if d in options})
+    if any(d in options and options[d].nargs == 0 and not isinstance(v, (bool, type(None)))
+           for d, v in dests.items()):
+        raise ValidationError("on/off options in a config take true, false or null")
+    sub.set_defaults(**{d: v if options[d].nargs == 0 else str(v)
+                        for d, v in dests.items() if d in options and v is not None})
     return parser.parse_args(argv)
 
 

@@ -157,16 +157,18 @@ def make_union(pairs) -> CompactSet:
 
 def cantor_approx(depth: int, ratio: float) -> CompactSet:
     """Depth-d Cantor construction on [0, 1] keeping the outer `ratio` of
-    each interval at every level: 2^d components of length ratio^d.
+    each interval at every level: 2^d components of length ratio^d. The
+    depth may be any integral real, such as 3.0.
     """
-    if depth < 0 or depth != int(depth):
+    if not 0 <= depth < math.inf or depth != int(depth):
         raise ValidationError("depth must be a nonnegative integer")
+    depth = int(depth)
     if not (0.0 < ratio < 0.5):
         raise ValidationError("ratio must lie in (0, 1/2)")
-    if (1 << depth) > MAX_COMPONENTS:
+    if depth >= MAX_COMPONENTS.bit_length():
         raise ValidationError(f"2^{depth} components exceed cap {MAX_COMPONENTS}")
     intervals = [(0.0, 1.0)]
-    for _ in range(int(depth)):
+    for _ in range(depth):
         nxt = []
         for lo, hi in intervals:
             step = ratio * (hi - lo)
@@ -190,7 +192,7 @@ def from_spec(obj: dict) -> CompactSet:
     if "cantor" in obj:
         c = obj["cantor"]
         try:
-            return cantor_approx(int(c["depth"]), float(c["ratio"]))
+            return cantor_approx(c["depth"], float(c["ratio"]))
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"bad cantor spec: {exc}") from exc
     raise ValidationError("set spec needs an 'intervals' or 'cantor' key")

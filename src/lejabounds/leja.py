@@ -247,14 +247,15 @@ def separation_floor(model: GreenModel, tau: float, n: int, delta: float) -> flo
 def check_separation(seq: PointSequence, model: GreenModel) -> SeparationReport:
     """Check the sequence's min separation against the best floor on a log
     grid of 20 deltas over [1e-4 diam K, diam K], so the floor scales with
-    K; ok iff it is at most 1e-12 below."""
+    K; ok iff it is at most 1e-12 of the floor below, so the verdict
+    scales with K too."""
     n = len(seq)
     deltas = np.geomspace(1e-4 * model.set.diam, model.set.diam, 20)
     floors = [separation_floor(model, seq.tau, n, float(d)) for d in deltas]
     i = int(np.argmax(floors))
     sep = seq.min_separation()
     margin = sep - floors[i]
-    return SeparationReport(ok=bool(margin >= -1e-12), min_separation=sep,
+    return SeparationReport(ok=bool(margin >= -1e-12 * floors[i]), min_separation=sep,
                             floor=floors[i], best_delta=float(deltas[i]),
                             margin=margin, deltas=tuple(map(float, deltas)),
                             floors=tuple(floors))

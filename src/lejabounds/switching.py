@@ -10,8 +10,8 @@ The functional is the minimum over all chains. It upper-bounds Lagrange
 basis values at the tail of a tau-quasi-Leja sequence, which is what makes
 it worth computing exactly: the minimum is a shortest path on the DAG of
 breakpoints (edge a -> b costs log(1/tau) + sum_{a <= j < b} log|x_b - x_j|).
-The dynamic program runs over row blocks of 64 breakpoints of the suffix
-table of those sums, in O(q^2) time and O(64 q) memory.
+The dynamic program runs right to left, one running row per start, with
+the logs taken in blocks of 64 starts: O(q^2) time and O(64 q) memory.
 
 Equivalently, a chain is a rule assigning each j < q a reference point
 X_j = x_{n_{l+1}} for n_l <= j < n_{l+1}, and
@@ -44,7 +44,7 @@ import numpy as np
 from .bounds import _exp, _log_spread, switching_constant
 from .compact_set import ValidationError, _check_tau
 
-_DP_ROWS = 64     # breakpoints per block of optimal_switching's suffix table
+_DP_ROWS = 64     # starts per block of optimal_switching's log table
 
 
 def _check_chain(pts: np.ndarray, tau: float) -> None:
@@ -118,12 +118,11 @@ def chain_log_value(inst: SwitchingInstance, breakpoints) -> float:
 def optimal_switching(inst: SwitchingInstance) -> SwitchingResult:
     """Exact minimum over all chains (shortest path over breakpoints).
 
-    The breakpoints b run in row blocks of _DP_ROWS. For a block
-    [b0, b1) one log and one reversed cumsum give the suffix table
-    S[b, a] = sum_{a <= j < b} log|x_b - x_j| for a < b1; the entries
-    j >= b are log 1 = 0, so every row sums exactly as its own per-b
-    suffix would. Each breakpoint then costs one add to the carried
-    dist + log(1/tau) and one argmin: O(q^2) time, O(_DP_ROWS q) memory.
+    Backward induction from E[q] = 0: E[a] = log(1/tau) + min_{b > a}
+    (S[a, b] + E[b]), S[a, b] = sum_{a <= j < b} log|x_b - x_j|. The one
+    array cost[b] = E[b] + S[a, b] gains start a's row of logs in place and
+    its argmin is a's next breakpoint; the rows come in blocks of _DP_ROWS
+    starts, so O(q^2) time and O(_DP_ROWS q) memory.
     """
     return _optimal_chain(np.asarray(inst.points), inst.tau)
 
@@ -132,23 +131,21 @@ def _optimal_chain(pts: np.ndarray, tau: float) -> SwitchingResult:
     """optimal_switching on the points (x_0, ..., x_q) of a valid instance."""
     q = len(pts) - 1
     lt = math.log(1.0 / tau)
-    dist_lt = np.empty(q + 1)              # dist[a] + lt, the cost of leaving a
-    dist_lt[0] = lt
-    pred = np.zeros(q + 1, dtype=int)
-    for b0 in range(1, q + 1, _DP_ROWS):
-        b1 = min(b0 + _DP_ROWS, q + 1)
-        diff = np.abs(pts[b0:b1, None] - pts[:b1])
-        diff[np.arange(b0, b1)[:, None] <= np.arange(b1)] = 1.0   # j >= b
-        suffix = np.cumsum(np.log(diff)[:, ::-1], axis=1)[:, ::-1]
-        for r, b in enumerate(range(b0, b1)):
-            cand = dist_lt[:b] + suffix[r, :b]
-            i = cand.argmin()
-            dist_lt[b] = cand[i] + lt
-            pred[b] = i
-    bp = [q]
-    while bp[-1] != 0:
-        bp.append(int(pred[bp[-1]]))
-    bp.reverse()
+    cost = np.zeros(q + 1)                 # E[q] = 0; cost[a] = E[a] once a is done
+    nxt = np.empty(q, dtype=int)
+    for a1 in range(q, 0, -_DP_ROWS):
+        a0 = max(a1 - _DP_ROWS, 0)
+        with np.errstate(divide="ignore"):         # b = a cells, never read
+            logs = np.log(np.abs(pts[a0 + 1:] - pts[a0:a1, None]))
+        for a in range(a1 - 1, a0 - 1, -1):
+            row = cost[a + 1:]
+            row += logs[a - a0, a - a0:]
+            i = row.argmin()
+            cost[a] = row[i] + lt
+            nxt[a] = a + 1 + i
+    bp = [0]
+    while bp[-1] != q:
+        bp.append(int(nxt[bp[-1]]))
     return SwitchingResult(log_value=_chain_value(pts, bp, tau),
                            breakpoints=tuple(bp), m=len(bp) - 1)
 

@@ -80,6 +80,7 @@ def test_cantor_approx():
     assert K.n_components == 8
     assert K.lo == 0.0 and K.hi == 1.0
     assert np.isclose(K.measure, (2.0 / 3.0) ** 3)
+    assert cantor_approx(3.0, 1.0 / 3.0) == K        # an integral real depth
     with pytest.raises(ValidationError):
         cantor_approx(2, 0.6)
 
@@ -89,6 +90,7 @@ def test_from_spec_roundtrip():
     assert from_spec(K.to_spec()).intervals == K.intervals
     K2 = from_spec({"cantor": {"depth": 2, "ratio": 0.25}})
     assert K2.n_components == 4
+    assert from_spec({"cantor": {"depth": 2.0, "ratio": 0.25}}) == K2
 
 
 def test_component_of():

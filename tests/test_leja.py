@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -270,6 +271,19 @@ def test_separation_check_is_scale_invariant():
         got = (rep.floor / K.diam, rep.best_delta / K.diam)
         ref = ref or got
         assert got == pytest.approx(ref, rel=1e-6), s
+
+
+def test_separation_verdict_is_scale_invariant():
+    # the closest pair at half the floor fails at every scale of the set
+    base = quasi_leja_sequence(make_union([(0.0, 1.0), (2.0, 3.0)]), 40, 0.9, rng_seed=0)
+    for s in (1.0, 1e-6, 1e-9):
+        model = build_green_model(make_union([(0.0, s), (2.0 * s, 3.0 * s)]))
+        pts = [s * x for x in base.points]
+        floor = check_separation(dataclasses.replace(base, points=tuple(pts)), model).floor
+        pts[-1] = pts[0] - 0.5 * floor
+        rep = check_separation(dataclasses.replace(base, points=tuple(pts)), model)
+        assert rep.min_separation == pytest.approx(0.5 * rep.floor, rel=1e-9), s
+        assert not rep.ok, s
 
 
 def test_bad_args(K_unit):

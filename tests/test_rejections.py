@@ -29,6 +29,11 @@ LIBRARY = {
                             "too many components"),
     "cantor-negative-depth": (lambda m: cantor_approx(-1, 1.0 / 3.0), "nonnegative integer"),
     "cantor-depth-15": (lambda m: cantor_approx(15, 1.0 / 3.0), "exceed cap"),
+    "cantor-depth-1e30": (lambda m: cantor_approx(10 ** 30, 1.0 / 3.0), "exceed cap"),
+    "cantor-fractional-depth": (lambda m: cantor_approx(2.5, 1.0 / 3.0), "nonnegative integer"),
+    "from_spec-cantor-fractional-depth": (
+        lambda m: from_spec({"cantor": {"depth": 2.5, "ratio": 1.0 / 3.0}}),
+        "nonnegative integer"),
     "from_spec-not-dict": (lambda m: from_spec([[0.0, 1.0]]), "JSON object"),
     "from_spec-cantor-without-depth": (lambda m: from_spec({"cantor": {"ratio": 0.3}}),
                                        "bad cantor spec"),
@@ -55,6 +60,9 @@ LIBRARY = {
 CLI = {
     "config-json-list": (lambda d: ["--config", str(_write(d, "[1, 2]")), "points", "--n", "3"],
                          "config must be a JSON object"),
+    "config-flag-not-bool": (lambda d: ["--config", str(_write(d, '{"json": "false"}')),
+                                        "points", "--n", "3"],
+                             "on/off options in a config take true, false or null"),
     "itau-q-2500": (lambda d: ["itau", "--q", "2500"], "could not draw a separated instance"),
 }
 
@@ -75,3 +83,28 @@ def test_invalid_input_is_rejected(name, model_unit, tmp_path, capsys):
         call, message = LIBRARY[name]
         with pytest.raises(ValidationError, match=message):
             call(model_unit)
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ('{"cantor_depth": 3.0}', "argument --cantor-depth: invalid int value: '3.0'"),
+    ('{"seed": 1.5}', "argument --seed: invalid int value: '1.5'"),
+    ('{"grid_density": true}', "argument --grid-density: invalid float value: 'True'"),
+    ('{"set": {"cantor": {"depth": 2.5, "ratio": 0.3}}}', "depth must be a nonnegative integer"),
+], ids=["cantor-depth-float", "seed-float", "grid-density-bool", "set-fractional-depth"])
+def test_config_values_are_checked_as_flags(cfg, message, tmp_path, capsys):
+    # a config value passes the same conversion as the flag, so exits 2
+    argv = ["--config", str(_write(tmp_path, cfg)), "points", "--n", "3"]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
+def test_config_null_keeps_the_default(tmp_path, capsys):
+    assert main(["--config", str(_write(tmp_path, '{"seed": null, "tau": null}')),
+                 "points", "--n", "4"]) == 0
+    out = capsys.readouterr().out
+    assert main(["points", "--n", "4"]) == 0
+    assert capsys.readouterr().out == out

@@ -437,9 +437,9 @@ def test_worst_case_defeats_all_chains(q, tau):
 
 
 def per_breakpoint_dp(inst):
-    """The DP one breakpoint b at a time: a fresh suffix cumsum of
-    log|x_b - x_j| per b, the form the row-blocked kernel must reproduce,
-    and the value of the chain it picks."""
+    """The forward DP one breakpoint b at a time: a fresh suffix cumsum of
+    log|x_b - x_j| per b, keeping the smallest predecessor on ties, and the
+    value of the chain it picks. An independent check of the optimum."""
     pts = np.asarray(inst.points)
     q = inst.q
     lt = math.log(1.0 / inst.tau)
@@ -460,17 +460,43 @@ def per_breakpoint_dp(inst):
     return chain_log_value(inst, bp), tuple(bp)
 
 
+def per_start_dp(inst):
+    """The backward DP one start a at a time: a fresh row of log|x_b - x_a|
+    per a added to the running cost[a+1:], the form the blocked kernel must
+    reproduce, and the value of the chain it picks."""
+    pts = np.asarray(inst.points)
+    q = inst.q
+    lt = math.log(1.0 / inst.tau)
+    cost = np.zeros(q + 1)
+    nxt = np.zeros(q, dtype=int)
+    for a in range(q - 1, -1, -1):
+        cost[a + 1:] += np.log(np.abs(pts[a + 1:] - pts[a]))
+        i = int(np.argmin(cost[a + 1:]))
+        cost[a] = cost[a + 1 + i] + lt
+        nxt[a] = a + 1 + i
+    bp = [0]
+    while bp[-1] != q:
+        bp.append(int(nxt[bp[-1]]))
+    return chain_log_value(inst, bp), tuple(bp)
+
+
 @pytest.mark.parametrize("q", [1, 2, 63, 64, 65, 128, 129, 300])
 def test_row_blocked_dp_equals_per_breakpoint_dp(q, rng):
-    # block edges at multiples of 64 breakpoints; spreads up to e^+-20
+    # block edges at multiples of 64 starts; spreads up to e^+-20
     insts = [worst_case_instance(tau, q) for tau in (1.0, 0.9, 0.5)]
     for _ in range(6):
         pts = rng.standard_normal(q + 1) * np.exp(rng.uniform(-20.0, 20.0, q + 1))
         insts.append(SwitchingInstance(tuple(pts), float(rng.uniform(0.2, 1.0))))
-    for inst in insts:
+    for i, inst in enumerate(insts):
         res = optimal_switching(inst)
-        assert (res.log_value, res.breakpoints) == per_breakpoint_dp(inst)
+        assert (res.log_value, res.breakpoints) == per_start_dp(inst)
         assert res.m == len(res.breakpoints) - 1
+        v, forward_bp = per_breakpoint_dp(inst)
+        assert abs(res.log_value - v) <= 1e-12 * max(1.0, abs(v))
+        if i >= 3:
+            # no two chains tie on the random instances, so the forward
+            # DP's smallest predecessor picks the same chain
+            assert res.breakpoints == forward_bp
 
 
 def test_dp_memory_is_row_blocked(rng):
