@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compact_set import ValidationError, _check_tau
+from .compact_set import ValidationError, _check_int, _check_tau
 from .green import GreenModel
 
 _LOG_HUGE = math.log(np.finfo(float).max)
@@ -58,15 +58,18 @@ def _log_bound(diam: float, G: float, n: int, delta: float, tau: float) -> float
     return math.log(n) + _log_spread(math.log(diam) - math.log(tau * delta) + n * G, tau)
 
 
-def _check_args(n: int, tau: float) -> None:
+def _check_args(n: int, tau: float) -> int:
+    """Checks a point count n and a relaxation ratio tau; returns n as an int."""
+    n = _check_int(n, "n must be an integer")
     if n < 1:
         raise ValidationError("n must be at least 1")
     _check_tau(tau)
+    return n
 
 
 def _bound(diam: float, G: float, n: int, delta: float, tau: float) -> float:
     """Bound value from an already computed G(delta); +inf past a double."""
-    _check_args(n, tau)
+    n = _check_args(n, tau)
     return _exp(_log_bound(diam, G, n, delta, tau))
 
 
@@ -109,7 +112,8 @@ def optimize_bound(model: GreenModel, n, tau: float = 1.0, delta_grid=None):
     """
     single = np.ndim(n) == 0
     ns = [n] if single else list(n)
-    _check_args(min(ns, default=0), tau)
+    # every n is checked; an empty sequence fails as n = 0 does
+    ns = [_check_args(k, tau) for k in ns or [0]]
     diam = model.set.diam
     given = delta_grid is not None
     grid = np.asarray(delta_grid if given else np.geomspace(1e-4 * diam, diam, _GRID_POINTS),

@@ -31,6 +31,17 @@ def _check_tau(tau: float) -> None:
         raise ValidationError("tau must lie in (0, 1]")
 
 
+def _check_int(value, message: str) -> int:
+    """A count or an index is an int or an integral real, such as 3.0;
+    returns it as an int, and raises ValidationError(message) otherwise."""
+    try:
+        if value == int(value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValidationError(message)
+
+
 @dataclass(frozen=True)
 class CompactSet:
     """Sorted union of disjoint closed intervals [lo_i, hi_i], lo_i < hi_i."""
@@ -160,9 +171,10 @@ def cantor_approx(depth: int, ratio: float) -> CompactSet:
     each interval at every level: 2^d components of length ratio^d. The
     depth may be any integral real, such as 3.0.
     """
-    if not 0 <= depth < math.inf or depth != int(depth):
-        raise ValidationError("depth must be a nonnegative integer")
-    depth = int(depth)
+    message = "depth must be a nonnegative integer"
+    depth = _check_int(depth, message)
+    if depth < 0:
+        raise ValidationError(message)
     if not (0.0 < ratio < 0.5):
         raise ValidationError("ratio must lie in (0, 1/2)")
     if depth >= MAX_COMPONENTS.bit_length():

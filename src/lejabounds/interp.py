@@ -7,12 +7,13 @@ Lebesgue function sum_k |L_k| take the product form |L_k(x)| =
 exp(sum_{j != k} log|x - x_j| + log|w_k|), which is backward stable (Higham,
 IMA J. Numer. Anal. 24, 2004) where a sum of the terms w_k / (x - x_k)
 cancels; the interpolant keeps the barycentric second form (Berrut &
-Trefethen, SIAM Rev. 46, 2004). All are exact at node hits, and the Lebesgue
-function runs in row blocks, so its memory does not grow with the number of
-points. It has exactly one local maximum between adjacent nodes and is
-monotone outside the node hull (Brutman, J. Inequal. Appl. 1, 1997; the
-argument is in `lebesgue_constant`), so the Lebesgue constant comes from one
-bracketed Newton search per piece of K cut at the nodes, all pieces at once.
+Trefethen, SIAM Rev. 46, 2004). All of them, the weights included, are exact
+at node hits and run in row blocks, so memory does not grow with the number
+of points. The Lebesgue function has exactly one local maximum between
+adjacent nodes and is monotone outside the node hull (Brutman, J. Inequal.
+Appl. 1, 1997; the argument is in `lebesgue_constant`), so the Lebesgue
+constant comes from one bracketed Newton search per piece of K cut at the
+nodes, all pieces at once.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._search import newton_max
-from .compact_set import CompactSet, ValidationError
+from .compact_set import CompactSet, ValidationError, _check_int
 
-# point x node entries of one row block of the Lebesgue function or its slope
+# point x node entries of one row block
 _BLOCK_ENTRIES = 1 << 20
 
 
@@ -40,77 +41,75 @@ class InterpolationOperator:
         if len(np.unique(nodes)) != len(nodes):
             raise ValidationError("nodes must be distinct")
         self.nodes = nodes
-        n = len(nodes)
-        self._log_w = np.empty(n)
-        rows = max(1, _BLOCK_ENTRIES // n)
-        for r0 in range(0, n, rows):
-            d = nodes[r0:r0 + rows, None] - nodes
-            d[np.arange(len(d)), np.arange(r0, r0 + len(d))] = 1.0
-            self._log_w[r0:r0 + rows] = -np.log(np.abs(d, out=d), out=d).sum(axis=1)
+        self._log_w = self._rows(nodes, lambda d: -np.log(np.abs(d, out=d), out=d).sum(axis=1))
         # sign(w_k) = (-1)^(number of nodes above x_k)
-        above = n - 1 - np.argsort(np.argsort(nodes))
+        above = len(nodes) - 1 - np.argsort(np.argsort(nodes))
         self._w = (1 - 2 * (above % 2)) * np.exp(self._log_w - self._log_w.max())
 
     @classmethod
     def from_sequence(cls, seq, n: int = None) -> "InterpolationOperator":
         pts = np.asarray(seq.points, dtype=float)
-        if n is not None and not 1 <= n <= len(pts):
-            raise ValidationError(f"prefix length {n} not in [1, {len(pts)}]")
-        return cls(pts if n is None else pts[:n])
+        if n is not None:
+            n = _check_int(n, "prefix length must be an integer")
+            if not 1 <= n <= len(pts):
+                raise ValidationError(f"prefix length {n} not in [1, {len(pts)}]")
+        return cls(pts[:n])
 
     @property
     def n(self) -> int:
         return len(self.nodes)
 
-    def _log_basis(self, xs):
-        """log|L_k(x)| in product form, one row per point of xs, and the mask
-        of node hits x == x_k, whose rows the caller patches."""
-        d = xs[:, None] - self.nodes
-        hit = d == 0.0
-        d[hit] = 1.0
+    def _rows(self, x, row, at_node=None, dtype=float):
+        """row(d) on row blocks of d = x - x_k (node hits set to 1, then valued at_node[k]
+        unless at_node is None); shaped like x, a Python scalar for a scalar x."""
+        xs = np.asarray(x, dtype=float).ravel()
+        out = np.empty(len(xs), dtype=dtype)
+        rows = max(1, _BLOCK_ENTRIES // self.n)
+        for r0 in range(0, len(xs), rows):
+            d = xs[r0:r0 + rows, None] - self.nodes
+            hits = np.flatnonzero(d == 0.0)
+            d.flat[hits] = 1.0
+            out[r0:r0 + rows] = row(d)
+            if at_node is not None:
+                out[r0 + hits // self.n] = at_node[hits % self.n]
+        return out.item() if np.ndim(x) == 0 else out.reshape(np.shape(x))
+
+    def _log_basis(self, d):
+        """log|L_k(x)| in product form, in place on a block d of `_rows`."""
         np.log(np.abs(d, out=d), out=d)
         np.subtract(d.sum(axis=1, keepdims=True), d, out=d)
         d += self._log_w
-        return d, hit
+        return d
 
     def lagrange_basis(self, k: int, x):
         """L_k(x) in product form, exact Kronecker delta when x hits a node."""
+        k = _check_int(k, "basis index must be an integer")
         if not 0 <= k < self.n:
             raise ValidationError("basis index out of range")
-        xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-        log_l, hit = self._log_basis(xs)
-        # sign: that of w_k times (-1)^(number of nodes x_j > x, j != k)
-        above = (self.nodes > xs[:, None]).sum(axis=1) - (self.nodes[k] > xs)
-        out = np.sign(self._w[k]) * (1 - 2 * (above % 2)) * np.exp(log_l[:, k])
-        exact = hit.any(axis=1)
-        out[exact] = hit[exact, k]
-        return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
+
+        def row(d):
+            # sign: that of w_k times (-1)^(number of nodes x_j > x, j != k)
+            above = (d < 0.0).sum(axis=1) - (d[:, k] < 0.0)
+            return np.sign(self._w[k]) * (1 - 2 * (above % 2)) * np.exp(self._log_basis(d)[:, k])
+        return self._rows(x, row, np.arange(self.n) == k)
 
     def interpolate(self, fvals, x):
         """Barycentric second form; exact at the nodes. fvals may be complex."""
         fvals = np.asarray(fvals)
         if fvals.shape != (self.n,):
             raise ValidationError("fvals must match the node count")
-        d = np.atleast_1d(np.asarray(x, dtype=float)).ravel()[:, None] - self.nodes
-        # node hits produce inf/inf here and are patched right below
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = self._w / d
-            out = np.asarray((t @ fvals) / t.sum(axis=1),
-                             dtype=fvals.dtype if np.iscomplexobj(fvals) else float)
-        hit_rows, hit_cols = np.nonzero(d == 0.0)
-        out[hit_rows] = fvals[hit_cols]
-        return out[0] if np.ndim(x) == 0 else out.reshape(np.shape(x))
+
+        def row(d):
+            t = np.divide(self._w, d, out=d)
+            # a node-hit row can sum to 0 (nodes -1, 0 at x = 0); _rows replaces it
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return (t @ fvals) / t.sum(axis=1)
+        return self._rows(x, row, fvals, fvals.dtype if np.iscomplexobj(fvals) else float)
 
     def lebesgue_function(self, x):
         """Sum_k |L_k(x)| in product form; equals 1 at the nodes."""
-        xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-        vals = np.empty(len(xs))
-        rows = max(1, _BLOCK_ENTRIES // self.n)
-        for r0 in range(0, len(xs), rows):
-            log_l, hit = self._log_basis(xs[r0:r0 + rows])
-            vals[r0:r0 + rows] = np.where(hit.any(axis=1), 1.0,
-                                          np.exp(log_l, out=log_l).sum(axis=1))
-        return float(vals[0]) if np.ndim(x) == 0 else vals.reshape(np.shape(x))
+        return self._rows(x, lambda d: np.exp(self._log_basis(d), out=d).sum(axis=1),
+                          np.ones(self.n))
 
     def _log_slope(self, x):
         """(log Lambda)' and (log Lambda)'' at the points x, off the nodes.

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import _check_args
 from .compact_set import CompactSet, ValidationError, _check_tau
 from .green import GreenModel
 
@@ -61,14 +62,22 @@ class PointSequence:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PointSequence":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        seed = obj.get("rng_seed")
-        return cls(points=tuple(obj["points"]), tau=float(obj["tau"]),
-                   grid_density=float(obj["grid_density"]),
-                   rng_seed=None if seed is None else int(seed),
-                   x0_policy=str(obj.get("x0_policy", "right")),
-                   achieved_ratios=tuple(obj.get("achieved_ratios", ())))
+        try:
+            if isinstance(obj, str):
+                obj = json.loads(obj)
+            points, tau = tuple(map(float, obj["points"])), float(obj["tau"])
+            grid_density, seed = float(obj["grid_density"]), obj.get("rng_seed")
+            seq = cls(points=points, tau=tau, grid_density=grid_density,
+                      rng_seed=None if seed is None else int(seed),
+                      x0_policy=str(obj.get("x0_policy", "right")),
+                      achieved_ratios=tuple(obj.get("achieved_ratios", ())))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError("a point sequence is a JSON object with numeric 'points', "
+                                  f"'tau' and 'grid_density' ({exc!r})") from exc
+        _check_tau(tau)
+        if not 0.0 < grid_density < math.inf:
+            raise ValidationError("grid_density must be positive and finite")
+        return seq
 
 
 def _resolve_x0(K: CompactSet, x0) -> tuple[float, str]:
@@ -154,9 +163,7 @@ def _greedy(K: CompactSet, grid, x0: float, n: int, choose) -> tuple[list, list]
 
 def _generate(K: CompactSet, n: int, tau: float, rng_seed: int,
               grid_density: float, x0) -> PointSequence:
-    if n < 1:
-        raise ValidationError("n must be at least 1")
-    _check_tau(tau)
+    n = _check_args(n, tau)
     if rng_seed < 0:
         raise ValidationError("seed must be nonnegative")
     grid = K.grid(grid_density)
@@ -241,6 +248,7 @@ class SeparationReport:
 def separation_floor(model: GreenModel, tau: float, n: int, delta: float) -> float:
     """Lower bound tau * delta * exp(-n G(delta)) on the pairwise distance
     of any n-point tau-quasi-Leja sequence."""
+    n = _check_args(n, tau)
     return tau * delta * math.exp(-n * model.neighborhood_max(delta))
 
 

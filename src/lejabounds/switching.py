@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import _exp, _log_spread, switching_constant
-from .compact_set import ValidationError, _check_tau
+from .compact_set import ValidationError, _check_int, _check_tau
 
 _DP_ROWS = 64     # starts per block of optimal_switching's log table
 
@@ -166,6 +166,7 @@ def brute_force_log_min(inst: SwitchingInstance) -> float:
 def worst_case_instance(tau: float, q: int) -> SwitchingInstance:
     """Geometric alternating sequence x_0 = 0, x_j = (-L)^(j-1) with
     L = 1 + 1/tau, built to defeat greedy switching rules."""
+    q = _check_int(q, "q must be an integer")
     if q < 1:
         raise ValidationError("q must be at least 1")
     _check_tau(tau)
@@ -358,6 +359,7 @@ def basis_vs_switching(seq, k: int, x: float) -> BasisSwitchReport:
     relative excess of 1e-9). Skips (ok vacuously) when x hits a node."""
     pts = np.asarray(seq.points, dtype=float)
     n = len(pts)
+    k = _check_int(k, "k must be an integer")
     if not 0 <= k < n:
         raise ValidationError("k out of range")
     if np.any(pts == x):

@@ -42,6 +42,21 @@ def test_interpolate_exact_at_nodes(op3):
     fv = np.array([3.0, -1.0, 7.0])
     got = op3.interpolate(fv, np.array([-1.0, 0.0, 1.0]))
     np.testing.assert_array_equal(got, fv)
+    # hits mixed with other points, in a 2-d x that keeps its shape
+    x = np.array([[1.0, 0.5], [-1.0, -0.5]])
+    got = op3.interpolate(fv, x)
+    assert got.shape == (2, 2)
+    assert (got[0, 0], got[1, 0]) == (7.0, 3.0)
+    # the quadratic through the data is 6x^2 + 2x - 1
+    np.testing.assert_allclose(got[:, 1], [1.5, -0.5], rtol=1e-14)
+    np.testing.assert_array_equal(op3.lebesgue_function(x), [[1.0, 1.25], [1.0, 1.25]])
+    np.testing.assert_array_equal(op3.lagrange_basis(0, x)[:, 0], [0.0, 1.0])
+    # a hit row whose barycentric sum is 0 (nodes -1, 0 at x = 0) raises no warning
+    assert InterpolationOperator([-1.0, 0.0]).interpolate([2.0, 3.0], 0.0) == 3.0
+    # a scalar x gives a Python float
+    for val in (op3.lagrange_basis(0, 0.5), op3.lagrange_basis(0, 1.0),
+                op3.lebesgue_function(0.5), op3.lebesgue_function(1.0)):
+        assert type(val) is float
 
 
 def test_interpolate_complex_values(op3):
@@ -91,6 +106,22 @@ def test_lebesgue_scan_memory_bounded(K_unit):
     assert peak < 100e6
     # classical bound (2/pi) log(n) + 1 for Chebyshev points
     assert 1.0 < rep.lambda_n < 2 / np.pi * np.log(1000) + 1
+
+
+def test_interpolate_and_basis_memory_bounded():
+    # 20000 points x 1000 Chebyshev nodes: a points x nodes table would take 160 MB
+    nodes = np.cos((2 * np.arange(1000) + 1) * np.pi / 2000)
+    op = InterpolationOperator(nodes)
+    x = np.linspace(-1.0, 1.0, 20000)
+    for call in (lambda: op.interpolate(1.0 / (1.0 + 25.0 * nodes ** 2), x),
+                 lambda: op.lagrange_basis(3, x)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
 
 def test_operator_memory_bounded():

@@ -5,11 +5,12 @@ import math
 
 import pytest
 
-from lejabounds import (CompactSet, InterpolationOperator, ValidationError,
+from lejabounds import (CompactSet, InterpolationOperator, PointSequence, ValidationError,
                         basis_vs_switching, brute_force_log_min, cantor_approx,
                         from_spec, green_interval_analytic, ineq1, ineq3,
-                        leja_sequence, make_union, optimize_bound,
-                        spread_log_bound, worst_case_instance)
+                        lebesgue_bound, leja_sequence, make_union, optimize_bound,
+                        quasi_lebesgue_bound, separation_floor, spread_log_bound,
+                        worst_case_instance)
 from lejabounds.cli import main
 
 _UNIT = make_union([(-1.0, 1.0)])
@@ -54,7 +55,48 @@ LIBRARY = {
     "spread-bound-inverted": (lambda m: spread_log_bound(1.0, 2.0, 0.9), "d_min <= d_max"),
     "basis-vs-switching-k-n": (lambda m: basis_vs_switching(leja_sequence(_UNIT, 5), 5, 0.3),
                                "k out of range"),
+    # a count or an index is an integer, or an integral real such as 3.0
+    "optimize_bound-fractional-n": (lambda m: optimize_bound(m, 2.5), "n must be an integer"),
+    "optimize_bound-fractional-n-in-list": (lambda m: optimize_bound(m, [3, 2.5]),
+                                            "n must be an integer"),
+    "lebesgue_bound-fractional-n": (lambda m: lebesgue_bound(m, 2.5, 0.1),
+                                    "n must be an integer"),
+    "quasi_lebesgue_bound-fractional-n": (lambda m: quasi_lebesgue_bound(m, 2.5, 0.9, 0.1),
+                                          "n must be an integer"),
+    "separation_floor-tau-7": (lambda m: separation_floor(m, 7.0, 3, 0.1),
+                               r"tau must lie in \(0, 1\]"),
+    "separation_floor-negative-n": (lambda m: separation_floor(m, 0.9, -3, 0.1),
+                                    "n must be at least 1"),
+    "leja_sequence-fractional-n": (lambda m: leja_sequence(_UNIT, 2.5), "n must be an integer"),
+    "from_sequence-fractional-n": (
+        lambda m: InterpolationOperator.from_sequence(leja_sequence(_UNIT, 5), 2.5),
+        "prefix length must be an integer"),
+    "basis-fractional-index": (lambda m: _OP3.lagrange_basis(1.5, 0.5),
+                               "basis index must be an integer"),
+    "worst-case-fractional-q": (lambda m: worst_case_instance(0.5, 2.5), "q must be an integer"),
+    "basis-vs-switching-fractional-k": (
+        lambda m: basis_vs_switching(leja_sequence(_UNIT, 5), 1.5, 0.3), "k must be an integer"),
+    # a point sequence read from JSON is checked as SwitchingInstance.from_json checks
+    "sequence-json-string-point": (lambda m: _sequence_json(points=[0.0, "a"]),
+                                   "numeric 'points'"),
+    "sequence-json-tau-7": (lambda m: _sequence_json(tau=7), r"tau must lie in \(0, 1\]"),
+    "sequence-json-negative-density": (lambda m: _sequence_json(grid_density=-1),
+                                       "grid_density must be positive"),
+    "sequence-json-infinite-density": (lambda m: _sequence_json(grid_density=math.inf),
+                                       "grid_density must be positive"),
+    "sequence-json-missing-key": (lambda m: _sequence_json(drop="grid_density"),
+                                  "numeric 'points'"),
+    "sequence-json-list": (lambda m: PointSequence.from_json([0.0, 1.0]), "JSON object"),
+    "sequence-json-scalar-points": (lambda m: _sequence_json(points=3), "numeric 'points'"),
+    "sequence-json-string-tau": (lambda m: _sequence_json(tau="x"), "numeric 'points'"),
 }
+
+
+def _sequence_json(drop=None, **fields):
+    obj = {"points": [0.0, 1.0], "tau": 1.0, "grid_density": 10, **fields}
+    obj.pop(drop, None)
+    return PointSequence.from_json(obj)
+
 
 # name -> (argv taking a scratch directory, message)
 CLI = {
@@ -100,6 +142,10 @@ def test_config_values_are_checked_as_flags(cfg, message, tmp_path, capsys):
         code = exc.code
     assert code == 2
     assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
+def test_integral_real_counts_are_accepted():
+    assert leja_sequence(_UNIT, 3.0) == leja_sequence(_UNIT, 3)
 
 
 def test_config_null_keeps_the_default(tmp_path, capsys):
