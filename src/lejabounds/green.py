@@ -16,6 +16,21 @@ accuracy. A gap condition makes c_g the mean of the gap's nodes under the
 weights |h(t) / (t - c_g)| / sqrt|q(t)| > 0 (see _solve). Products are sums
 of logs, so w >= 0 holds by construction and nothing under- or overflows.
 
+Those sums over sources, log|t - e| over the endpoints e and log|t - c| over
+the zeros c at every node t, and the Newton Jacobian sum_i u_i / (t_i - c),
+cost O(N^2 * order) when taken directly, and they are most of a build with
+many components. One kernel (_near_far_sum) splits each of them per piece.
+A source more than one piece width beyond the piece is far: in the piece's
+[-1, 1] coordinates it lies beyond +-3, so log|t - e| and 1/(t - c) are
+analytic inside the Bernstein ellipse of parameter rho = 3 + sqrt(8) = 5.83,
+and their interpolants at P = 24 first-kind Chebyshev points are accurate to
+about rho^-24 = 4e-19 relative (Trefethen, ATAP, 2013, ch. 8). A piece with
+more than P far sources sums them at its P proxy points only and
+interpolates to its nodes with one fixed barycentric matrix, the far-field
+compression of Greengard & Rokhlin (J. Comput. Phys. 73, 1987) at one level;
+its near sources are summed at every node. A set of at most 12 components
+has no piece with more than 22 far sources, so there every sum is direct.
+
 The logarithmic potential is then evaluated through the Chebyshev
 coefficients C_{j,k} of the transplanted density v_j(theta): with
 zeta the affine image of z in [-1, 1] coordinates of component j and
@@ -54,7 +69,9 @@ _COEF_TAIL_TOL = 1e-12
 _RESIDUAL_TOL = 1e-9
 _MAX_ORDER = 4096
 _CURVE_COUNTS = (256, 33, 33, 33, 33)   # samples per zoom round of G(delta)
-_TABLE_BLOCK = 1 << 13                  # entries per row block of a node-to-point table
+_TABLE_BLOCK = 1 << 13                  # entries per row block of a kernel table
+_PROXIES = 24                           # Chebyshev proxy points of a piece for its far sources
+_PROXY_POINTS = np.cos((np.arange(_PROXIES) + 0.5) * math.pi / _PROXIES)   # on [-1, 1]
 
 
 class GreenBuildError(RuntimeError):
@@ -168,12 +185,89 @@ def _diff_blocks(t, pts, skip):
         yield slice(r0, r0 + step), D
 
 
-def _log_dist(t, pts, skip):
-    """sum_m log|t[r, i] - pts[m]| over the pairs (r, m) not in skip."""
-    out = np.empty(t.shape)
-    for rows, D in _diff_blocks(t, pts, skip):
-        out[rows] = np.log(np.abs(D, out=D), out=D).sum(axis=2)
+def _near_far_sum(lo, hi, t, src, skip, u=None):
+    """The build's sums over the sorted sources src at the cosine nodes t[r] of the
+    pieces [lo[r], hi[r]], without the pairs (r, m) in skip (a piece's own ends or
+    zero; index arrays sorted by r): sum_m log|t[r, i] - src[m]| (rows x order), or,
+    given u, the Jacobian sums sum_i u[r, i] / (t[r, i] - src[m]) (rows x sources,
+    arbitrary at the skipped pairs).
+
+    A piece with more than _PROXIES far sources (see the module docstring) takes
+    their log-sum at its proxies tau_p and interpolates it to its nodes with the
+    matrix M of _proxy_matrix, and their Jacobian sums as sum_p (u M^T)[r, p] /
+    (tau_p - src[m]); its near sources are summed at every node. The other pieces
+    sum every source at every node. Every table is built in row blocks of at most
+    _TABLE_BLOCK entries (or one row), and no product goes to BLAS, which may start
+    threads of its own."""
+    S = len(src)
+    a = np.searchsorted(src, 2.0 * lo - hi)          # src[a:b], within a width of the
+    b = np.searchsorted(src, 2.0 * hi - lo, side="right")   # piece, is near; the rest far
+    proxy = S - (b - a) > _PROXIES
+    out = np.empty(t.shape if u is None else (len(t), S))
+
+    d = np.flatnonzero(~proxy)                   # every source summed at the nodes
+    keep, pos = ~proxy[skip[0]], np.cumsum(~proxy) - 1
+    ud = None if u is None else u[d]
+    for rows, D in _diff_blocks(t[d], src, (pos[skip[0][keep]], skip[1][keep])):
+        if u is None:
+            out[d[rows]] = np.log(np.abs(D, out=D), out=D).sum(axis=2)
+        else:
+            out[d[rows]] = np.einsum("gi,gik->gk", ud[rows], np.divide(1.0, D, out=D))
+
+    f = np.flatnonzero(proxy)
+    if not len(f):
+        return out
+    order, af, bf = t.shape[1], a[f], b[f]
+    tau = 0.5 * (lo[f] + hi[f])[:, None] + 0.5 * (hi[f] - lo[f])[:, None] * _PROXY_POINTS
+    M = _proxy_matrix(order)
+    F = np.empty((len(f), _PROXIES))
+    U = None if u is None else np.einsum("ri,pi->rp", u[f], M)
+    m = np.arange(S)
+    step = max(1, _TABLE_BLOCK // (_PROXIES * S))
+    for r0 in range(0, len(f), step):            # far sources at the proxies
+        rows = slice(r0, r0 + step)
+        D = tau[rows, :, None] - src
+        m0, m1 = af[rows].min(), bf[rows].max()   # the columns near to some row of the block
+        near = (m[m0:m1] >= af[rows, None]) & (m[m0:m1] < bf[rows, None])
+        np.copyto(D[:, :, m0:m1], 1.0, where=near[:, None, :])
+        if u is None:
+            F[rows] = np.log(np.abs(D, out=D), out=D).sum(axis=2)
+        else:
+            out[f[rows]] = np.einsum("rp,rpm->rm", U[rows], np.divide(1.0, D, out=D))
+    step = max(1, _TABLE_BLOCK // order)
+    if u is None:
+        for r0 in range(0, len(f), step):        # ... interpolated to the nodes
+            out[f[r0:r0 + step]] = np.einsum("rp,pi->ri", F[r0:r0 + step], M)
+
+    # near pairs (row of f, source), sorted by row, without the skipped ones
+    n = bf - af
+    r = np.repeat(np.arange(len(f)), n)
+    s = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - af, n)
+    pair = ~np.isin(f[r] * S + s, skip[0] * S + skip[1], assume_unique=True)
+    r, s = f[r[pair]], s[pair]
+    head = np.ones(len(r), dtype=bool)            # the first pair of a row or of a block
+    head[1:] = r[1:] != r[:-1]
+    head[::step] = True
+    for j0 in range(0, len(r), step):
+        rj, sj = r[j0:j0 + step], s[j0:j0 + step]
+        E = t[rj] - src[sj, None]
+        if u is None:
+            h = np.flatnonzero(head[j0:j0 + step])
+            out[rj[h]] += np.add.reduceat(np.log(np.abs(E, out=E), out=E), h, axis=0)
+        else:
+            out[rj, sj] = np.einsum("ji,ji->j", u[rj], np.divide(1.0, E, out=E))
     return out
+
+
+def _proxy_matrix(order):
+    """(P x order) barycentric matrix from the P proxy points to the cosine nodes
+    cos((i + 1/2) pi / order) of [-1, 1], with the weights (-1)^p sin((p + 1/2) pi / P)
+    of first-kind Chebyshev points. The two sets never meet: P = 24, order = 256 * 2^k."""
+    w = np.sin((np.arange(_PROXIES) + 0.5) * math.pi / _PROXIES)
+    w[1::2] *= -1.0
+    T = w[:, None] / (np.cos((np.arange(order) + 0.5) * math.pi / order)
+                      - _PROXY_POINTS[:, None])
+    return T / T.sum(axis=0)
 
 
 def _nodes(ends, order: int):
@@ -183,7 +277,7 @@ def _nodes(ends, order: int):
     t = 0.5 * (ends[:-1, None] + ends[1:, None]) + 0.5 * np.diff(ends)[:, None] * np.cos(
         (np.arange(order) + 0.5) * math.pi / order)
     p = np.repeat(np.arange(len(t)), 2)
-    return t, -0.5 * _log_dist(t, ends, (p, p + np.tile([0, 1], len(t))))
+    return t, -0.5 * _near_far_sum(ends[:-1], ends[1:], t, ends, (p, p + np.tile([0, 1], len(t))))
 
 
 def _solve(ends, nodes, c):
@@ -196,16 +290,14 @@ def _solve(ends, nodes, c):
     lo, hi = ends[1:-1].reshape(-1, 2).T
     t, logw = nodes[0][1::2], nodes[1][1::2]
     g = np.arange(len(c))
-    mean, J = np.empty(len(c)), np.empty((len(c), len(c)))   # J = I + cov_w(t, 1/(t - c))
     last = math.inf
     for _ in range(50 if len(c) else 0):          # at most 50 Newton steps
-        for rows, D in _diff_blocks(t, c, (g, g)):
-            inv = np.divide(1.0, D)
-            lw = np.log(np.abs(D, out=D), out=D).sum(axis=2) + logw[rows]
-            w = np.exp(lw - lw.max(axis=1, keepdims=True))
-            w /= w.sum(axis=1, keepdims=True)
-            mean[rows] = np.einsum("gi,gi->g", w, t[rows])
-            J[rows] = np.einsum("gi,gik->gk", w * (t[rows] - mean[rows, None]), inv)
+        lw = _near_far_sum(lo, hi, t, c, (g, g)) + logw
+        w = np.exp(lw - lw.max(axis=1, keepdims=True))
+        w /= w.sum(axis=1, keepdims=True)
+        mean = np.einsum("gi,gi->g", w, t)
+        # J = I + cov_w(t, 1/(t - c))
+        J = _near_far_sum(lo, hi, t, c, (g, g), w * (t - mean[:, None]))
         J[g, g] = 1.0
         try:
             new = c + np.linalg.solve(J, mean - c)
@@ -216,7 +308,7 @@ def _solve(ends, nodes, c):
         if rel <= 1e-12 or 1e-9 >= rel > 0.5 * last:
             break
         last = rel
-    lv = _log_dist(nodes[0][0::2], c, (g[:0], g[:0])) + nodes[1][0::2]
+    lv = _near_far_sum(ends[0::2], ends[1::2], nodes[0][0::2], c, (g[:0], g[:0])) + nodes[1][0::2]
     order = lv.shape[1]
     V = np.exp(lv - lv.max())
     mass = V.sum() / order
@@ -262,7 +354,8 @@ def build_green_model(K: CompactSet) -> GreenModel:
         if ended or order < _MAX_ORDER:
             # residuals at twice the order; on doubling, those nodes are the next ones
             nodes, g = _nodes(ends, 2 * order), np.arange(len(c))
-            f = np.exp(_log_dist(nodes[0], c, (2 * g + 1, g)) + nodes[1] + log_scale)
+            f = np.exp(_near_far_sum(ends[:-1], ends[1:], nodes[0], c, (2 * g + 1, g))
+                       + nodes[1] + log_scale)
             f[1::2] *= nodes[0][1::2] - c[:, None]            # h / sqrt|q| on the gaps
             mass_err = abs(float(f[0::2].sum()) / (2 * order) - 1.0)
             gap_err = float(np.abs(f[1::2].sum(axis=1)).max(initial=0.0)) * math.pi / (2 * order)
@@ -279,11 +372,9 @@ def build_green_model(K: CompactSet) -> GreenModel:
         order *= 2
 
     model = GreenModel(K, 0.0, [row[:n].copy() for row, n in zip(C, lengths)])
-    z0 = 0.5 * (K.intervals[0][0] + K.intervals[0][1])
-    model.robin_constant = -model.potential(z0)
-
-    mids = np.array([0.5 * (lo + hi) for lo, hi in K.intervals])
-    bres = float(np.max(np.abs(model.potential(mids) + model.robin_constant)))
+    U = model.potential(np.array([0.5 * (lo + hi) for lo, hi in K.intervals]))
+    model.robin_constant = -float(U[0])           # g = 0 at the first component's midpoint
+    bres = float(np.max(np.abs(U + model.robin_constant)))
     if bres > 1e-8:
         raise GreenBuildError(f"potential not constant across components: {bres:.2e}")
     # order, series_length, mass_residual and gap_residual of the last solve

@@ -27,6 +27,7 @@ from .compact_set import CompactSet, ValidationError, _check_int
 
 # point x node entries of one row block
 _BLOCK_ENTRIES = 1 << 20
+_TINY = np.finfo(float).tiny
 
 
 class InterpolationOperator:
@@ -38,8 +39,9 @@ class InterpolationOperator:
             raise ValidationError("nodes must be a nonempty 1-d array")
         if not np.all(np.isfinite(nodes)):
             raise ValidationError("nodes must be finite")
-        if len(np.unique(nodes)) != len(nodes):
-            raise ValidationError("nodes must be distinct")
+        if np.any(np.diff(np.sort(nodes)) < _TINY):     # closer would count as a hit
+            raise ValidationError("nodes must be distinct, at least the smallest normal "
+                                  "float apart")
         self.nodes = nodes
         self._log_w = self._rows(nodes, lambda d: -np.log(np.abs(d, out=d), out=d).sum(axis=1))
         # sign(w_k) = (-1)^(number of nodes above x_k)
@@ -67,7 +69,11 @@ class InterpolationOperator:
         rows = max(1, _BLOCK_ENTRIES // self.n)
         for r0 in range(0, len(xs), rows):
             d = xs[r0:r0 + rows, None] - self.nodes
-            hits = np.flatnonzero(d == 0.0)
+            # |x - x_k| below the smallest normal float is a hit: w_k / (x - x_k) would
+            # overflow there. Beside a node of modulus 2^-968 or more, only x = x_k is.
+            hit = d < _TINY
+            hit &= d > -_TINY
+            hits = np.flatnonzero(hit)
             d.flat[hits] = 1.0
             out[r0:r0 + rows] = row(d)
             if at_node is not None:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import _check_args
-from .compact_set import CompactSet, ValidationError, _check_tau
+from .compact_set import CompactSet, ValidationError, _check_int, _check_tau
 from .green import GreenModel
 
 DEFAULT_GRID_DENSITY = 10_000.0
@@ -62,22 +62,53 @@ class PointSequence:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PointSequence":
+        message = ("a point sequence is a JSON object with numeric 'points', 'tau' and "
+                   "'grid_density'")
         try:
             if isinstance(obj, str):
                 obj = json.loads(obj)
-            points, tau = tuple(map(float, obj["points"])), float(obj["tau"])
-            grid_density, seed = float(obj["grid_density"]), obj.get("rng_seed")
-            seq = cls(points=points, tau=tau, grid_density=grid_density,
-                      rng_seed=None if seed is None else int(seed),
-                      x0_policy=str(obj.get("x0_policy", "right")),
-                      achieved_ratios=tuple(obj.get("achieved_ratios", ())))
+            points, tau, grid_density = obj["points"], obj["tau"], obj["grid_density"]
+            seed, ratios = obj.get("rng_seed"), obj.get("achieved_ratios", ())
+            policy = obj.get("x0_policy", "right")
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError("a point sequence is a JSON object with numeric 'points', "
-                                  f"'tau' and 'grid_density' ({exc!r})") from exc
+            raise ValidationError(f"{message} ({exc!r})") from exc
+        points = _floats(points, message)
+        tau, grid_density = _floats((tau, grid_density), message)
         _check_tau(tau)
         if not 0.0 < grid_density < math.inf:
             raise ValidationError("grid_density must be positive and finite")
-        return seq
+        seed_message = "rng_seed must be a nonnegative integer"
+        if seed is not None and (isinstance(seed, bool) or _check_int(seed, seed_message) < 0):
+            raise ValidationError(seed_message)
+        ratios = _floats(ratios, "achieved_ratios must be a list of finite numbers")
+        if not all(map(math.isfinite, ratios)):
+            raise ValidationError("achieved_ratios must be a list of finite numbers")
+        if not (policy in ("right", "left") or isinstance(policy, str)
+                and policy.startswith("given:") and _is_finite_number(policy[6:])):
+            raise ValidationError("x0_policy must be 'right', 'left' or 'given:<number>'")
+        return cls(points=points, tau=tau, grid_density=grid_density,
+                   rng_seed=None if seed is None else int(seed), x0_policy=policy,
+                   achieved_ratios=ratios)
+
+
+def _floats(values, message: str) -> tuple:
+    """A JSON array of numbers as a tuple of floats. A string iterates over its
+    characters and a boolean converts to 0 or 1, so neither is a number here."""
+    try:
+        if not isinstance(values, str):
+            values = tuple(values)
+            if not any(isinstance(v, bool) for v in values):
+                return tuple(map(float, values))
+    except (TypeError, ValueError):
+        pass
+    raise ValidationError(message)
+
+
+def _is_finite_number(text: str) -> bool:
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
 
 
 def _resolve_x0(K: CompactSet, x0) -> tuple[float, str]:

@@ -338,3 +338,78 @@ def test_set_far_from_the_origin_builds():
     m = build_green_model(far)
     assert m.diagnostics["order"] == 256
     assert m.capacity == pytest.approx(build_green_model(K).capacity, rel=1e-9)
+
+
+def _direct_sums(t, src, skip, u=None):
+    """The kernel's sums taken directly on _diff_blocks tables, and the same sums of
+    the absolute values of their terms (the scale of their rounding)."""
+    from lejabounds.green import _diff_blocks
+    shape = t.shape if u is None else (len(t), len(src))
+    out, scale = np.empty(shape), np.empty(shape)
+    for rows, D in _diff_blocks(t, src, skip):
+        if u is None:
+            terms = np.log(np.abs(D))
+            out[rows], scale[rows] = terms.sum(axis=2), np.abs(terms).sum(axis=2)
+        else:
+            out[rows] = np.einsum("gi,gik->gk", u[rows], 1.0 / D)
+            scale[rows] = np.einsum("gi,gik->gk", np.abs(u[rows]), np.abs(1.0 / D))
+    return out, scale
+
+
+def _kernel_sums(K):
+    """(kernel, direct, scale) for the four sums of a build: the endpoint log-sums
+    of _nodes, the residual sums at twice the order, and the Newton weights and
+    Jacobian (off the diagonal) at the zeros of a solve."""
+    from lejabounds.green import _nodes, _solve, _near_far_sum
+    ends = np.ravel(K.intervals) - 0.5 * (K.lo + K.hi)
+    pieces = len(ends) - 1
+    p = np.repeat(np.arange(pieces), 2)
+    own = (p, p + np.tile([0, 1], pieces))
+    nodes = _nodes(ends, 256)
+    c = _solve(ends, nodes, ends[1:-1].reshape(-1, 2).mean(axis=1))[0]
+    g = np.arange(len(c))
+    t2 = _nodes(ends, 512)[0]
+    glo, ghi, tg = ends[1:-1:2], ends[2:-1:2], nodes[0][1::2]
+    lw, _ = _direct_sums(tg, c, (g, g))
+    w = np.exp(lw + nodes[1][1::2] - (lw + nodes[1][1::2]).max(axis=1, keepdims=True))
+    w /= w.sum(axis=1, keepdims=True)
+    u = w * (tg - np.einsum("gi,gi->g", w, tg)[:, None])
+    off = ~np.eye(len(c), dtype=bool)
+    return [(_near_far_sum(ends[:-1], ends[1:], nodes[0], ends, own),
+             *_direct_sums(nodes[0], ends, own)),
+            (_near_far_sum(ends[:-1], ends[1:], t2, c, (2 * g + 1, g)),
+             *_direct_sums(t2, c, (2 * g + 1, g))),
+            (_near_far_sum(glo, ghi, tg, c, (g, g)), *_direct_sums(tg, c, (g, g))),
+            tuple(a[off] for a in (_near_far_sum(glo, ghi, tg, c, (g, g), u),
+                                   *_direct_sums(tg, c, (g, g), u)))]
+
+
+@pytest.mark.parametrize("K", [
+    cantor_approx(5, 1.0 / 3.0), cantor_approx(6, 1.0 / 3.0), cantor_approx(7, 1.0 / 3.0),
+    cantor_approx(5, 0.25), make_union([(k / 30, k / 30 + 0.01) for k in range(30)]),
+], ids=["cantor5", "cantor6", "cantor7", "cantor5_quarter", "narrow30"])
+def test_near_far_kernel_matches_direct_sums(K):
+    # relative to the sum of the terms' magnitudes, the rounding scale of either sum
+    for got, want, scale in _kernel_sums(K):
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("K", [
+    make_union([(0.0, 1.0), (2.0, 3.0)]), cantor_approx(3, 1.0 / 3.0),
+    make_union([(k / 12, k / 12 + 0.01) for k in range(12)]),
+], ids=["two", "cantor3", "narrow12"])
+def test_near_far_kernel_is_direct_up_to_12_components(K):
+    # 24 ends: no piece has more than 22 far sources, so nothing goes through proxies
+    for got, want, _ in _kernel_sums(K):
+        assert np.array_equal(got, want)
+
+
+def test_depth8_build_memory_bounded():
+    K = cantor_approx(8, 1.0 / 3.0)
+    tracemalloc.start()
+    try:
+        build_green_model(K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64e6

@@ -1,5 +1,6 @@
 import functools
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -57,6 +58,21 @@ def test_interpolate_exact_at_nodes(op3):
     for val in (op3.lagrange_basis(0, 0.5), op3.lagrange_basis(0, 1.0),
                 op3.lebesgue_function(0.5), op3.lebesgue_function(1.0)):
         assert type(val) is float
+
+
+def test_subnormal_distance_from_a_node_is_a_hit():
+    # w_k / (x - x_k) overflows at x - x_k = 1e-320, so such a point takes the node's value
+    op = InterpolationOperator([0.0, 1.0])
+    x = np.array([1e-320, -5e-324, 1.0, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(op.interpolate([2.0, 3.0], x), [2.0, 2.0, 3.0, 2.5])
+        assert op.interpolate([2.0, 3.0], 1e-320) == 2.0
+        np.testing.assert_array_equal(op.lagrange_basis(0, x), [1.0, 1.0, 0.0, 0.5])
+        np.testing.assert_array_equal(op.lebesgue_function(x), [1.0, 1.0, 1.0, 1.0])
+    # two nodes that close would be one hit
+    with pytest.raises(ValidationError, match="distinct"):
+        InterpolationOperator([0.0, 1e-320, 1.0])
 
 
 def test_interpolate_complex_values(op3):

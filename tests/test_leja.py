@@ -239,6 +239,12 @@ def test_json_roundtrip(K_unit):
     assert back.tau == seq.tau
 
 
+@pytest.mark.parametrize("x0", ["right", "left", -0.25])
+def test_json_roundtrip_keeps_every_field(K_unit, x0):
+    seq = quasi_leja_sequence(K_unit, 12, 0.9, rng_seed=3, x0=x0)
+    assert PointSequence.from_json(json.dumps(seq.to_json())) == seq
+
+
 def test_separation_floor_formula(model_unit):
     n, tau, delta = 10, 0.9, 0.01
     g = model_unit.neighborhood_max(delta)

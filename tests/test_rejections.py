@@ -89,6 +89,29 @@ LIBRARY = {
     "sequence-json-list": (lambda m: PointSequence.from_json([0.0, 1.0]), "JSON object"),
     "sequence-json-scalar-points": (lambda m: _sequence_json(points=3), "numeric 'points'"),
     "sequence-json-string-tau": (lambda m: _sequence_json(tau="x"), "numeric 'points'"),
+    "sequence-json-string-points": (lambda m: _sequence_json(points="12"), "numeric 'points'"),
+    "sequence-json-fractional-seed": (lambda m: _sequence_json(rng_seed=1.5),
+                                      "rng_seed must be a nonnegative integer"),
+    "sequence-json-negative-seed": (lambda m: _sequence_json(rng_seed=-4),
+                                    "rng_seed must be a nonnegative integer"),
+    "sequence-json-string-seed": (lambda m: _sequence_json(rng_seed="3"),
+                                  "rng_seed must be a nonnegative integer"),
+    "sequence-json-bool-seed": (lambda m: _sequence_json(rng_seed=True),
+                                "rng_seed must be a nonnegative integer"),
+    "sequence-json-bool-tau": (lambda m: _sequence_json(tau=True), "numeric 'points'"),
+    "sequence-json-bool-point": (lambda m: _sequence_json(points=[0.0, True]),
+                                 "numeric 'points'"),
+    "sequence-json-bool-ratio": (lambda m: _sequence_json(achieved_ratios=[True]),
+                                 "achieved_ratios must be a list of finite numbers"),
+    "sequence-json-string-ratios": (lambda m: _sequence_json(achieved_ratios="abc"),
+                                    "achieved_ratios must be a list of finite numbers"),
+    "sequence-json-nan-ratio": (lambda m: _sequence_json(achieved_ratios=[1.0, math.nan]),
+                                "achieved_ratios must be a list of finite numbers"),
+    "sequence-json-numeric-policy": (lambda m: _sequence_json(x0_policy=7), "x0_policy must be"),
+    "sequence-json-unknown-policy": (lambda m: _sequence_json(x0_policy="middle"),
+                                     "x0_policy must be"),
+    "sequence-json-given-nan-policy": (lambda m: _sequence_json(x0_policy="given:nan"),
+                                       "x0_policy must be"),
 }
 
 
