@@ -8,14 +8,15 @@ import numpy as np
 
 
 def zoom_max(f, lo, hi, counts):
-    """Maximize f over the brackets [lo_i, hi_i] by sampling and zooming.
+    """Maximize f over each bracket [lo_i, hi_i] by sampling and zooming.
 
     Every bracket is sampled at counts[0] points, ends included. Then, once
-    for each further count c, each bracket shrinks to the one or two sample
-    cells around its best sample and is sampled again at c points. f is
-    called once per round on the (brackets, count) array of samples and
-    returns values of that shape. Returns floats (x, f(x)) for the best
-    sample of all rounds; ties go to the smaller abscissa.
+    for each further count c (all counts at least 2), each bracket shrinks
+    to the one or two sample cells around its best sample and is sampled
+    again at c points. f is called once per round on the (brackets, count)
+    array of samples and returns values of that shape. Returns arrays (x, f(x)) with the best
+    sample of all rounds of each bracket; ties go to the smaller abscissa.
+    A bracket's samples and result do not depend on the other brackets.
     """
     lo, hi = np.atleast_1d(lo).astype(float), np.atleast_1d(hi).astype(float)
     xs, vals = [], []
@@ -23,13 +24,20 @@ def zoom_max(f, lo, hi, counts):
         if xs:
             cells = np.argmax(v, axis=1)[:, None] + [-1, 1]
             lo, hi = np.take_along_axis(x, cells.clip(0, x.shape[1] - 1), axis=1).T
-        x = np.linspace(lo, hi, c, axis=1)
+        # the rows of np.linspace, written out: once the step of one row
+        # underflows to 0, np.linspace rounds every row another way
+        x = np.arange(c) * ((hi - lo) / (c - 1))[:, None] + lo[:, None]
+        x[:, -1] = hi
         v = f(x)
-        xs.append(x.ravel())
-        vals.append(v.ravel())
-    xs, vals = np.concatenate(xs), np.concatenate(vals)
-    i = np.lexsort((xs, -vals))[0]
-    return float(xs[i]), float(vals[i])
+        xs.append(x)
+        vals.append(v)
+    xs, vals = np.hstack(xs), np.hstack(vals)
+    # per row, the smallest abscissa among the samples of the largest value
+    # (nan values lose, as long as the row has a number)
+    top = vals == np.fmax.reduce(vals, axis=1)[:, None]
+    i = np.argmin(np.where(top, xs, np.inf), axis=1)
+    rows = np.arange(len(xs))
+    return xs[rows, i], vals[rows, i]
 
 
 # Newton iterations per bracket; bisection alone reaches the stopping width

@@ -13,9 +13,10 @@ both are evaluated by one log-space core, _log_spread. At tau = 1 the bound
 reads 2 n (diam(K) / delta * exp(n G(delta)))^(9/8).
 
 Since any delta gives a valid bound and G(delta) depends on neither n nor
-tau, optimize_bound evaluates G once on one shared log grid of deltas and
-takes, for every requested n, the minimum over that table (widening the
-grid by a decade on a side where some n has its minimum on the edge).
+tau, optimize_bound evaluates G once on one shared log grid of deltas, in
+one batched call per table, and takes, for every requested n, the minimum
+over that table (widening the grid by a decade on a side where some n has
+its minimum on the edge).
 """
 
 from __future__ import annotations
@@ -104,7 +105,8 @@ def optimize_bound(model: GreenModel, n, tau: float = 1.0, delta_grid=None):
 
     n is an int (returns one BoundReport) or a sequence of ints (returns a
     list of reports, one per n, all on the same grid). G is evaluated once
-    per delta of the table. Default grid: 64 log-spaced deltas on
+    per delta of the table, in one call for the first grid and one for
+    each side a widening adds. Default grid: 64 log-spaced deltas on
     [1e-4 * diam, diam]; while some n has its minimum on an edge of it, that
     side is extended by a decade at the grid's log spacing (at most
     _WIDEN_RETRIES times). An explicit delta_grid of one or more positive
@@ -122,7 +124,8 @@ def optimize_bound(model: GreenModel, n, tau: float = 1.0, delta_grid=None):
         raise ValidationError("delta grid must be 1-d with at least 1 positive delta")
 
     def G(deltas):
-        return np.array([model.neighborhood_max(float(d)) for d in deltas])
+        """G on a table of deltas in one call; an empty table makes none."""
+        return np.atleast_1d(model.neighborhood_max(*deltas)) if len(deltas) else deltas
 
     g_vals = G(grid)
     for attempt in range(_WIDEN_RETRIES + 1):

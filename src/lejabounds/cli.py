@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -407,10 +408,23 @@ def _apply_config(parser, args, argv):
     return parser.parse_args(argv)
 
 
+def _join_set_values(argv):
+    """argparse reads a word that starts with '-' and is not a plain number
+    as an option, so "--set -1,-0.3;0.3,1" would lose its value; it is
+    passed on as "--set=-1,-0.3;0.3,1", which argparse takes whole."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--set" and re.match(r"-[\d.]", arg):
+            out[-1] = "--set=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     """Run one subcommand and write its text: to stdout, or to --out with a
     .meta.json sidecar next to it (verify then also echoes to stdout)."""
-    argv = list(sys.argv[1:] if argv is None else argv)
+    argv = _join_set_values(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
         args = _apply_config(parser, parser.parse_args(argv), argv)

@@ -69,7 +69,7 @@ _COEF_TAIL_TOL = 1e-12
 _RESIDUAL_TOL = 1e-9
 _MAX_ORDER = 4096
 _CURVE_COUNTS = (256, 33, 33, 33, 33)   # samples per zoom round of G(delta)
-_TABLE_BLOCK = 1 << 13                  # entries per row block of a kernel table
+_TABLE_BLOCK = 1 << 13                  # entries per row block of a kernel table or G zoom
 _PROXIES = 24                           # Chebyshev proxy points of a piece for its far sources
 _PROXY_POINTS = np.cos((np.arange(_PROXIES) + 0.5) * math.pi / _PROXIES)   # on [-1, 1]
 
@@ -149,29 +149,41 @@ class GreenModel:
         g = np.maximum(g, 0.0)
         return float(g) if g.ndim == 0 else g
 
-    def neighborhood_max(self, delta: float) -> float:
-        """G(delta): max of g over {z : dist(z, K) <= 2 delta}, sampled.
+    def neighborhood_max(self, delta, *deltas):
+        """G(delta): max of g over {z : dist(z, K) <= 2 delta}, sampled; a
+        float for one delta, and an array of G, one per delta, for several.
 
         g is harmonic off K, so the max sits on the outer boundary of the
         fattened set. With r = 2 delta the boundary over each merged group of
         fattened components is the curve x + i*sqrt(r^2 - d(x)^2) (d = real
-        distance to K) together with the two real tips. The curves of all
-        groups are sampled at 256 points each and then zoomed together in 4
-        rounds of 33 points, one evaluation of g per round. Nothing is
+        distance to K) together with the two real tips. The curves of the
+        groups of all deltas are zoomed together, _TABLE_BLOCK // 256 curves
+        at a time: each is sampled at 256 points and then in 4 rounds of 33,
+        one evaluation of g per round, exactly as it would be on its own. G
+        of a delta is the best sample over its own groups. Nothing is
         stored: a caller that needs G at one delta twice keeps the value
         itself.
         """
-        if not delta > 0:
+        rs = 2.0 * np.array((delta,) + deltas, dtype=float)
+        if not np.all(rs > 0):
             raise ValidationError("delta must be positive")
-        r = 2.0 * delta
-        fat = make_union([(lo - r, hi + r) for lo, hi in self.set.intervals])
+        groups = [make_union([(lo - r, hi + r) for lo, hi in self.set.intervals]).intervals
+                  for r in rs]
+        sizes = [len(g) for g in groups]
+        lo, hi = np.concatenate(groups).T
+        r = np.repeat(rs, sizes)[:, None]
 
-        def on_curve(x):
+        def on_curve(x, r):
             d = self.set._real_dist(x)
             return self.value(x + 1j * np.sqrt(np.maximum(r * r - d * d, 0.0)))
 
-        lo, hi = np.array(fat.intervals).T
-        return zoom_max(on_curve, lo, hi, _CURVE_COUNTS)[1]
+        best = np.empty(len(lo))
+        step = _TABLE_BLOCK // _CURVE_COUNTS[0]
+        for b0 in range(0, len(lo), step):
+            b = slice(b0, b0 + step)
+            best[b] = zoom_max(lambda x: on_curve(x, r[b]), lo[b], hi[b], _CURVE_COUNTS)[1]
+        G = np.fmax.reduceat(best, np.cumsum(sizes) - sizes)
+        return G if deltas else float(G[0])
 
 
 def _diff_blocks(t, pts, skip):

@@ -146,5 +146,5 @@ def ineq2_tightness_scan() -> TightnessScan:
         B = np.exp(u)
         return (B - 1.0) / (B + 1.0) ** 2
 
-    u, value = zoom_max(f, 0.0, math.log(1e3), (4096,) + (33,) * 8)
-    return TightnessScan(best_b=math.exp(u), best_value=value)
+    (u,), (value,) = zoom_max(f, 0.0, math.log(1e3), (4096,) + (33,) * 8)
+    return TightnessScan(best_b=math.exp(u), best_value=float(value))

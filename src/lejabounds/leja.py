@@ -276,11 +276,18 @@ class SeparationReport:
     floors: tuple
 
 
+def _floors(model: GreenModel, tau: float, n: int, deltas: list) -> list:
+    """tau * delta * exp(-n G(delta)) at every delta of the list, with G on
+    the whole list in one call."""
+    n = _check_args(n, tau)
+    gs = np.atleast_1d(model.neighborhood_max(*deltas))
+    return [tau * d * math.exp(-n * g) for d, g in zip(deltas, gs)]
+
+
 def separation_floor(model: GreenModel, tau: float, n: int, delta: float) -> float:
     """Lower bound tau * delta * exp(-n G(delta)) on the pairwise distance
     of any n-point tau-quasi-Leja sequence."""
-    n = _check_args(n, tau)
-    return tau * delta * math.exp(-n * model.neighborhood_max(delta))
+    return _floors(model, tau, n, [delta])[0]
 
 
 def check_separation(seq: PointSequence, model: GreenModel) -> SeparationReport:
@@ -288,9 +295,8 @@ def check_separation(seq: PointSequence, model: GreenModel) -> SeparationReport:
     grid of 20 deltas over [1e-4 diam K, diam K], so the floor scales with
     K; ok iff it is at most 1e-12 of the floor below, so the verdict
     scales with K too."""
-    n = len(seq)
     deltas = np.geomspace(1e-4 * model.set.diam, model.set.diam, 20)
-    floors = [separation_floor(model, seq.tau, n, float(d)) for d in deltas]
+    floors = _floors(model, seq.tau, len(seq), deltas.tolist())
     i = int(np.argmax(floors))
     sep = seq.min_separation()
     margin = sep - floors[i]

@@ -58,3 +58,18 @@ def quasi_unit_seqs(K_unit):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture()
+def G_calls(monkeypatch):
+    """The delta lists of the GreenModel.neighborhood_max calls of the test."""
+    from lejabounds.green import GreenModel
+    calls = []
+    original = GreenModel.neighborhood_max
+
+    def counted(self, delta, *deltas):
+        calls.append((delta,) + deltas)
+        return original(self, delta, *deltas)
+
+    monkeypatch.setattr(GreenModel, "neighborhood_max", counted)
+    return calls

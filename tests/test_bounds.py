@@ -106,6 +106,15 @@ def test_optimize_bound_widens_shared_grid(model_unit):
         optimize_bound(model_unit, [])
 
 
+def test_widened_grid_costs_one_G_call_per_table(model_unit, G_calls):
+    small, large = optimize_bound(model_unit, [1, 100])
+    # the first grid, then one call per side a widening adds (a decade at
+    # the grid's spacing: 16 deltas): both sides, then twice the right one;
+    # every delta of the final grid once
+    assert [len(c) for c in G_calls] == [64, 16, 16, 16, 16]
+    assert sorted(d for c in G_calls for d in c) == small.delta_grid.tolist()
+
+
 def test_optimize_bound_improves_on_coarse_grid(model_unit):
     coarse = optimize_bound(model_unit, 20, delta_grid=np.geomspace(2e-4, 2.0, 8))
     fine = optimize_bound(model_unit, 20, delta_grid=np.geomspace(2e-4, 2.0, 128))

@@ -110,23 +110,22 @@ def test_bound_single_n(capsys):
     assert len(lines) == 2 and float(lines[1].split(",")[0]) == 2e-4
 
 
-def test_bound_single_n_evaluates_G_once_per_delta(monkeypatch, tmp_path, capsys):
-    from lejabounds.green import GreenModel
-    calls = []
-    original = GreenModel.neighborhood_max
+@pytest.mark.parametrize("argv", [("points", "--n", "6"), ("bound", "--n-range", "2:4")])
+def test_set_starting_with_a_minus_sign_parses_as_in_the_help(argv, capsys):
+    spaced = run(capsys, *argv, "--set", "-1,-0.3;0.3,1")
+    assert spaced == run(capsys, *argv, "--set=-1,-0.3;0.3,1")
+    assert spaced[0] == 0 and spaced[1].count("\n") > 3
 
-    def counted(self, delta):
-        calls.append(delta)
-        return original(self, delta)
 
-    monkeypatch.setattr(GreenModel, "neighborhood_max", counted)
+def test_bound_single_n_evaluates_G_once_per_delta(G_calls, tmp_path, capsys):
+    # each of the 6 deltas once, all in one call
     assert run(capsys, "bound", "--n", "5", "--deltas", "6")[0] == 0
-    assert len(calls) == 6
+    assert [len(c) for c in G_calls] == [6] and len(set(G_calls[0])) == 6
     # the sidecar's minimum is read off the same table: no second one
-    calls.clear()
+    G_calls.clear()
     out = tmp_path / "f.csv"
     assert run(capsys, "bound", "--n", "5", "--deltas", "6", "--out", str(out))[0] == 0
-    assert len(calls) == 6
+    assert [len(c) for c in G_calls] == [6] and len(set(G_calls[0])) == 6
     rows = [list(map(float, r.split(","))) for r in out.read_text().splitlines()[1:]]
     best = min(rows, key=lambda r: r[3])
     summary = json.loads((tmp_path / "f.meta.json").read_text())["summary"]

@@ -140,6 +140,30 @@ def test_neighborhood_max_peaks_off_the_real_axis():
     assert abs(x[np.argmax(curve)]) < r
 
 
+@pytest.mark.parametrize("K,count", [
+    (make_union([(0.0, 1.0), (2.0, 3.0)]), 64),
+    (make_union([(-2.0, -1.0), (-5e-4, 5e-4), (1.0, 2.0)]), 64),
+    (make_union([(k / 30, k / 30 + 0.01) for k in range(30)]), 16),
+    (cantor_approx(5, 1.0 / 3.0), 64),
+], ids=["two", "off_axis", "narrow30", "cantor5"])
+def test_neighborhood_max_of_a_table_is_bitwise_per_delta(K, count):
+    # narrow30's groups merge as delta grows; cantor5 has 32 groups, one
+    # block of curves, per small delta, and once they merge the blocks
+    # straddle deltas
+    m = build_green_model(K)
+    deltas = np.geomspace(1e-4 * K.diam, K.diam, count)
+    G = m.neighborhood_max(*deltas)
+    assert G.shape == (count,)
+    assert G.tobytes() == np.array([m.neighborhood_max(d) for d in deltas]).tobytes()
+    assert isinstance(m.neighborhood_max(deltas[0]), float)
+
+
+def test_neighborhood_max_rejects_a_nonpositive_delta_anywhere(model_two):
+    for deltas in ([0.0], [-0.1], [0.1, 0.0, 0.2], [0.1, 0.2, -1e-300], [0.1, math.nan]):
+        with pytest.raises(ValidationError, match="delta must be positive"):
+            model_two.neighborhood_max(*deltas)
+
+
 def ends_and_gap_midpoints(K):
     ends = np.ravel(K.intervals)
     return ends, ends[1:-1].reshape(-1, 2).mean(axis=1)

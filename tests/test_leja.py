@@ -259,6 +259,13 @@ def test_separation_holds_for_exact(leja_unit_100, model_unit):
     assert len(rep.deltas) == len(rep.floors)
 
 
+def test_separation_floors_of_one_G_call_are_the_separation_floors(leja_two_100, model_two,
+                                                                    G_calls):
+    rep = check_separation(leja_two_100, model_two)
+    assert [len(c) for c in G_calls] == [20]
+    assert rep.floors == tuple(separation_floor(model_two, 1.0, 100, d) for d in rep.deltas)
+
+
 def test_separation_holds_for_quasi(quasi_unit_seqs, model_unit):
     for (tau, seed), seq in quasi_unit_seqs.items():
         if seed != 0:
