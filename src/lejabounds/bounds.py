@@ -47,10 +47,11 @@ def switching_constant() -> float:
     return _LAM
 
 
-def _log_spread(log_ratio: float, tau: float) -> float:
-    """log of (2/tau^2) R^(9/8 + 2 log(1/tau)/lam) at log R = log_ratio,
-    lam the switching constant: the switching spread bound with R = D/Delta,
-    and the Lebesgue bound over n with R = diam/(tau delta) e^{n G(delta)}."""
+def _log_spread(log_ratio, tau: float):
+    """log of (2/tau^2) R^(9/8 + 2 log(1/tau)/lam) at log R = log_ratio (a
+    float or an array), lam the switching constant: the switching spread
+    bound with R = D/Delta, and the Lebesgue bound over n with
+    R = diam/(tau delta) e^{n G(delta)}."""
     return (math.log(2.0) - 2.0 * math.log(tau)
             + (9.0 / 8.0 + 2.0 * math.log(1.0 / tau) / _LAM) * log_ratio)
 
@@ -128,9 +129,13 @@ def optimize_bound(model: GreenModel, n, tau: float = 1.0, delta_grid=None):
         return np.atleast_1d(model.neighborhood_max(*deltas)) if len(deltas) else deltas
 
     g_vals = G(grid)
+    # the table of _log_bound in its operations, so bitwise: math.log (np.log
+    # may round otherwise) once per n and per delta, the rest elementwise
+    log_n = np.array([math.log(k) for k in ns])[:, None]
     for attempt in range(_WIDEN_RETRIES + 1):
-        logs = np.array([[_log_bound(diam, g, k, float(d), tau)
-                          for d, g in zip(grid, g_vals)] for k in ns])
+        log_ratio = ((math.log(diam) - np.array([math.log(tau * d) for d in grid.tolist()]))
+                     + np.multiply.outer(ns, g_vals))
+        logs = log_n + _log_spread(log_ratio, tau)
         idx = np.argmin(logs, axis=1)
         left, right = np.any(idx == 0), np.any(idx == len(grid) - 1)
         if given or attempt == _WIDEN_RETRIES or not (left or right):

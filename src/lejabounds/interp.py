@@ -10,10 +10,12 @@ cancels; the interpolant keeps the barycentric second form (Berrut &
 Trefethen, SIAM Rev. 46, 2004). All of them, the weights included, are exact
 at node hits and run in row blocks, so memory does not grow with the number
 of points. The Lebesgue function has exactly one local maximum between
-adjacent nodes and is monotone outside the node hull (Brutman, J. Inequal.
-Appl. 1, 1997; the argument is in `lebesgue_constant`), so the Lebesgue
-constant comes from one bracketed Newton search per piece of K cut at the
-nodes, all pieces at once.
+adjacent nodes, is monotone outside the node hull, and its log is concave
+on every piece of K cut at the nodes (Brutman, J. Inequal. Appl. 1, 1997;
+the argument is in `lebesgue_constant`). So the Lebesgue constant comes
+from one pass over the free component ends and the piece midpoints, whose
+tangents bound log Lambda on each piece, and one bracketed Newton search
+over just the pieces whose bound can reach the best value of that pass.
 """
 
 from __future__ import annotations
@@ -118,7 +120,12 @@ class InterpolationOperator:
                           np.ones(self.n))
 
     def _log_slope(self, x):
-        """(log Lambda)' and (log Lambda)'' at the points x, off the nodes.
+        """(log Lambda)' and (log Lambda)'' at the points x, off the nodes."""
+        return self._log_track(x, True)
+
+    def _log_track(self, x, second):
+        """(log Lambda)' at the points x, off the nodes, and then
+        (log Lambda)'' if second, else log Lambda.
 
         Lambda = A / |B| with A = sum |t_k| and B = sum t_k. With
         u_k = 1 / (x_k - x), t_k' = t_k u_k and the j-th derivative of t_k is
@@ -126,10 +133,12 @@ class InterpolationOperator:
         same holds for |t_k|. B needs no sum of the t_k, which cancels near
         clustered nodes: by the barycentric identity sum_k w_k / (x - x_k) =
         c / prod_k (x - x_k) (Berrut & Trefethen, SIAM Rev. 46, 2004), so
-        (log|B|)' = sum u_k and (log|B|)'' = sum u_k^2. Both tracks come from
-        one row block of u.
+        (log|B|)' = sum u_k and (log|B|)'' = sum u_k^2. In the same terms
+        log Lambda = log(sum_k |w~_k u_k|) + max_k log|w_k| - sum_k log|u_k|,
+        with w~ the weights scaled by their largest modulus. Every track
+        comes from one row block of u.
         """
-        g, gp = np.empty(len(x)), np.empty(len(x))
+        g, h = np.empty(len(x)), np.empty(len(x))
         rows = max(1, _BLOCK_ENTRIES // self.n)
         for r0 in range(0, len(x), rows):
             u = 1.0 / (self.nodes - x[r0:r0 + rows, None])
@@ -137,14 +146,19 @@ class InterpolationOperator:
             a0 = c.sum(axis=1)
             c *= u
             a1 = c.sum(axis=1) / a0
-            c *= u
             g[r0:r0 + rows] = a1 - u.sum(axis=1)
-            gp[r0:r0 + rows] = (2.0 * c.sum(axis=1) / a0 - a1 * a1
-                                - np.square(u, out=u).sum(axis=1))
-        return g, gp
+            if second:
+                c *= u
+                h[r0:r0 + rows] = (2.0 * c.sum(axis=1) / a0 - a1 * a1
+                                   - np.square(u, out=u).sum(axis=1))
+            else:
+                h[r0:r0 + rows] = (np.log(a0) + self._log_w.max()
+                                   - np.log(np.abs(u, out=u), out=u).sum(axis=1))
+        return g, h
 
     def lebesgue_constant(self, K: CompactSet) -> "LebesgueReport":
-        """Max of the Lebesgue function over K by one Newton search per piece.
+        """Max of the Lebesgue function over K, by a Newton search on each
+        piece whose tangent bound can reach the best value.
 
         Every component of K is cut at the nodes inside it into pieces, and
         Lambda has at most one critical point on each, a maximum:
@@ -152,33 +166,61 @@ class InterpolationOperator:
             p = sum_k s_k L_k with the fixed signs s_k of L_k there. p has
             degree n - 1, is 1 at both nodes, and alternates in sign at the
             other nodes going outward, so each of the other n - 2 node gaps
-            holds a zero of p. Between consecutive zeros p' has an odd number
-            of zeros and deg p' = n - 2, so the interval between the zeros
-            around [x_i, x_{i+1}] holds exactly one critical point, which
-            Rolle puts inside the piece (for n = 2, p = 1 there);
+            holds a zero of p. p is positive at both nodes, so the piece
+            holds an even number of zeros, hence none, and the last zero is
+            real too: all n - 1 zeros of p are real and lie off the piece.
+            Between consecutive zeros p' has an odd number of zeros and
+            deg p' = n - 2, so the interval between the zeros around
+            [x_i, x_{i+1}] holds exactly one critical point, which Rolle
+            puts inside the piece (for n = 2, p = 1 there);
           - outside the node hull p alternates at all n nodes, so all zeros
             of p and of p' lie inside the hull and |p| is monotone;
           - a piece cut by a component end is a sub-interval of one of these.
-        So a piece peaks at a free end (a component end that is not a node)
-        where the slope of log Lambda points out of the piece, and otherwise
-        at its one interior critical point, found by `newton_max` on
-        (log Lambda)'. Node ends never are candidates, since Lambda = 1 there.
-        lambda_n is the largest Lebesgue function value at the candidates, so
-        lebesgue_function(argmax_x) == lambda_n; ties go to the smaller
-        abscissa.
+        So on every piece log Lambda = log|p| is a constant plus a sum of
+        log|x - z| over real zeros z off the piece: it is concave there, and
+        its tangent at the piece's midpoint m bounds it on the whole piece,
+        log Lambda <= U = f(m) + max(g(m) (hi - m), g(m) (lo - m)) with
+        f = log Lambda and g = f'.
+
+        One pass takes f and g at every free end (a component end that is
+        not a node) and at every piece midpoint, and best is the largest f of
+        the pass. A piece peaks at a free end where g points out of the
+        piece, and otherwise (an inner piece) at its one interior critical
+        point; node ends never are candidates, since Lambda = 1 there. Only
+        the inner pieces with U >= best - 1e-8 (1 + |g(m)| (hi - lo)) go to
+        `newton_max` on (log Lambda)', and a piece whose U is nan stays in.
+        The margin covers the rounding of f, of the tangent term and of the
+        Lebesgue function, a few n eps times the largest |log|x - x_k||. So
+        a piece left out peaks below best, while the scan finds at least
+        best on best's own piece (at a free end, or on an inner piece, which
+        U >= f(m) keeps): the piece can neither win nor tie. `newton_max`
+        runs each bracket on its own, so the kept pieces take the same
+        iterates as when every inner piece is searched. lambda_n is the
+        largest Lebesgue function value at the free ends and the searched
+        maxima, so lebesgue_function(argmax_x) == lambda_n; ties go to the
+        smaller abscissa.
         """
         nodes = np.sort(self.nodes)
         cuts = [np.concatenate(([lo], nodes[(nodes > lo) & (nodes < hi)], [hi]))
                 for lo, hi in K.intervals]
         lo = np.concatenate([c[:-1] for c in cuts])
         hi = np.concatenate([c[1:] for c in cuts])
-        # slopes at the piece ends; a node end counts as pointing inward
+        mid = 0.5 * (lo + hi)
         ends = np.concatenate((lo, hi))
         free = ~np.isin(ends, nodes)
-        g = np.concatenate((np.full(len(lo), np.inf), np.full(len(hi), -np.inf)))
-        g[free] = self._log_slope(ends[free])[0]
-        inner = (g[:len(lo)] > 0.0) & (g[len(lo):] < 0.0)
-        xs = np.concatenate((ends[free], newton_max(self._log_slope, lo[inner], hi[inner])))
+        nf = np.count_nonzero(free)
+        # a midpoint can meet a node only on a piece a few ulps wide; its nan bound keeps it
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            g, f = self._log_track(np.concatenate((ends[free], mid)), False)
+            # slopes at the piece ends; a node end counts as pointing inward
+            g_end = np.concatenate((np.full(len(lo), np.inf), np.full(len(hi), -np.inf)))
+            g_end[free] = g[:nf]
+            inner = (g_end[:len(lo)] > 0.0) & (g_end[len(lo):] < 0.0)
+            best = np.fmax.reduce(f)
+            g, f = g[nf:], f[nf:]
+            bound = f + np.maximum(g * (hi - mid), g * (lo - mid))
+            keep = inner & ~(bound < best - 1e-8 * (1.0 + np.abs(g) * (hi - lo)))
+        xs = np.concatenate((ends[free], newton_max(self._log_slope, lo[keep], hi[keep])))
         vals = self.lebesgue_function(xs)
         i = np.lexsort((xs, -vals))[0]
         return LebesgueReport(n=self.n, lambda_n=float(vals[i]), argmax_x=float(xs[i]))

@@ -106,6 +106,20 @@ def test_optimize_bound_widens_shared_grid(model_unit):
         optimize_bound(model_unit, [])
 
 
+@pytest.mark.parametrize("tau", [1.0, 0.9, 0.5, 0.123])
+def test_bound_table_is_the_scalar_bound_bitwise(model_unit, model_two, tau):
+    # the vectorised table takes the same operations as _log_bound, entry by
+    # entry; [1, 100] and more on [-1, 1] widen the grid on both sides
+    from lejabounds.bounds import _exp, _log_bound
+    for model, ns in ((model_unit, [1, 2, 7, 100, 199]), (model_two, range(1, 200))):
+        reps = optimize_bound(model, ns, tau=tau)
+        assert len(reps[0].delta_grid) > 64
+        for rep in reps:
+            expect = [_exp(_log_bound(model.set.diam, g, rep.n, float(d), tau))
+                      for d, g in zip(rep.delta_grid, rep.g_values)]
+            assert rep.bound_values.tolist() == expect
+
+
 def test_widened_grid_costs_one_G_call_per_table(model_unit, G_calls):
     small, large = optimize_bound(model_unit, [1, 100])
     # the first grid, then one call per side a widening adds (a decade at

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from lejabounds import (InterpolationOperator, PointSequence, ValidationError,
                         cantor_approx, leja_sequence, make_union,
                         quasi_leja_sequence)
+from lejabounds._search import newton_max
 
 
 @pytest.fixture(scope="module")
@@ -384,3 +385,120 @@ def test_lebesgue_constant_at_least_dense_scan(name, kind, n, seed):
     assert rep.lambda_n >= (1.0 - rel) * _dense_piece_max(op, K)
     assert op.lebesgue_function(rep.argmax_x) == rep.lambda_n
     assert K.contains(rep.argmax_x)
+
+
+def _pieces(op, K):
+    """The pieces (lo, hi) of K cut at the nodes, and which of them are
+    inner (their free ends slope into the piece), as the scan cuts them."""
+    nodes = np.sort(op.nodes)
+    cuts = [np.concatenate(([lo], nodes[(nodes > lo) & (nodes < hi)], [hi]))
+            for lo, hi in K.intervals]
+    lo = np.concatenate([c[:-1] for c in cuts])
+    hi = np.concatenate([c[1:] for c in cuts])
+    ends = np.concatenate((lo, hi))
+    free = ~np.isin(ends, nodes)
+    g = np.concatenate((np.full(len(lo), np.inf), np.full(len(hi), -np.inf)))
+    g[free] = op._log_slope(ends[free])[0]
+    return lo, hi, ends[free], (g[:len(lo)] > 0.0) & (g[len(lo):] < 0.0)
+
+
+def _unpruned_scan(op, K):
+    """(lambda_n, argmax_x) with a Newton search on every inner piece."""
+    lo, hi, free_ends, inner = _pieces(op, K)
+    xs = np.concatenate((free_ends, newton_max(op._log_slope, lo[inner], hi[inner])))
+    vals = op.lebesgue_function(xs)
+    i = np.lexsort((xs, -vals))[0]
+    return float(vals[i]), float(xs[i])
+
+
+def _scan_battery():
+    unit, two = _PROPERTY_SETS["unit"], _PROPERTY_SETS["two"]
+    leja = leja_sequence(unit, 1000)
+    cases = [(InterpolationOperator.from_sequence(leja, n), unit) for n in (50, 200, 400, 1000)]
+    cases += [(InterpolationOperator.from_sequence(_property_sequence("two", 1.0), n), two)
+              for n in range(2, 31)]
+    for depth in (3, 4):
+        C = cantor_approx(depth, 1.0 / 3.0)
+        seq = quasi_leja_sequence(C, 60, 0.9, rng_seed=0)
+        cases += [(InterpolationOperator.from_sequence(seq, n), C) for n in (5, 20, 60)]
+    for tau in (0.5, 0.9):
+        seq = quasi_leja_sequence(unit, 100, tau, rng_seed=1)
+        cases += [(InterpolationOperator.from_sequence(seq, n), unit) for n in (10, 50, 100)]
+    cases += [(InterpolationOperator(np.linspace(-1.0, 1.0, n)), unit) for n in range(2, 41)]
+    cases += [(InterpolationOperator(np.cos((2 * np.arange(n) + 1) * np.pi / (2 * n))), unit)
+              for n in (1, 2, 3, 10, 100, 1000, 2000)]
+    cases.append((InterpolationOperator(_clustered()[0]), unit))
+    rng = np.random.default_rng(3)
+    cases += [(InterpolationOperator(rng.uniform(-1.0, 1.0, n)), unit)
+              for n in rng.integers(1, 60, size=20)]
+    return cases
+
+
+def test_pruned_scan_is_the_unpruned_scan_bitwise():
+    for op, K in _scan_battery():
+        rep = op.lebesgue_constant(K)
+        assert (rep.lambda_n, rep.argmax_x) == _unpruned_scan(op, K), (op.n, K.intervals)
+
+
+@pytest.mark.parametrize("nodes,K", [([0.3], [(-1.0, 1.0)]), ([0.3], [(0.3, 1.0)]),
+                                     ([0.0, 1.0], [(0.0, 1.0)]), ([1.0, 0.0], [(0.0, 1.0)])])
+def test_lebesgue_constant_one_keeps_the_smaller_abscissa(nodes, K):
+    # Lambda == 1 on all of K: every piece ties, so every inner piece stays
+    # in the search and the smallest candidate abscissa wins, as unpruned
+    op, K = InterpolationOperator(nodes), make_union(K)
+    rep = op.lebesgue_constant(K)
+    assert rep.lambda_n == 1.0
+    assert (rep.lambda_n, rep.argmax_x) == _unpruned_scan(op, K)
+
+
+@given(st.sampled_from(sorted(_PROPERTY_SETS)), st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_pruned_scan_is_unpruned_on_random_nodes(name, n, seed):
+    K = _PROPERTY_SETS[name]
+    comps = np.array(K.intervals)
+    rng = np.random.default_rng(seed)
+    pick = comps[rng.integers(len(comps), size=n)]
+    nodes = pick[:, 0] + (pick[:, 1] - pick[:, 0]) * rng.random(n)
+    assume(len(np.unique(nodes)) == n)
+    op = InterpolationOperator(nodes)
+    rep = op.lebesgue_constant(K)
+    assert (rep.lambda_n, rep.argmax_x) == _unpruned_scan(op, K)
+
+
+@pytest.mark.parametrize("kind", ["leja", "quasi", "equispaced", "clustered"])
+def test_midpoint_tangent_bounds_log_lambda_on_its_piece(kind):
+    # log Lambda is concave on every piece, so its tangent at the midpoint
+    # lies above it on the whole piece
+    K = _PROPERTY_SETS["unit"]
+    nodes = {"leja": lambda: leja_sequence(K, 60).points,
+             "quasi": lambda: _property_sequence("unit", 0.9).points,
+             "equispaced": lambda: np.linspace(-1.0, 1.0, 25),
+             "clustered": lambda: _clustered()[0]}[kind]()
+    op = InterpolationOperator(nodes)
+    lo, hi, _, _ = _pieces(op, K)
+    mid = 0.5 * (lo + hi)
+    g, f = op._log_track(mid, False)
+    np.testing.assert_allclose(f, np.log(op.lebesgue_function(mid)), rtol=1e-12, atol=1e-12)
+    x = np.linspace(lo, hi, 200).T
+    tangent = f[:, None] + g[:, None] * (x - mid[:, None])
+    assert np.all(np.log(op.lebesgue_function(x)) <= tangent + 1e-12 * (1.0 + np.abs(f[:, None])))
+
+
+def test_scan_searches_few_pieces_at_high_degree(monkeypatch):
+    # Leja on [-1, 1] at n = 400: the tangent bounds send under 5% of the
+    # inner pieces to the Newton search
+    from lejabounds import interp
+    K = _PROPERTY_SETS["unit"]
+    op = InterpolationOperator(leja_sequence(K, 400).points)
+    brackets = []
+
+    def counted(slope, lo, hi):
+        brackets.append(len(lo))
+        return newton_max(slope, lo, hi)
+
+    monkeypatch.setattr(interp, "newton_max", counted)
+    rep = op.lebesgue_constant(K)
+    inner = np.count_nonzero(_pieces(op, K)[3])
+    assert inner >= 399 and len(brackets) == 1
+    assert 1 <= brackets[0] < 0.05 * inner
+    assert (rep.lambda_n, rep.argmax_x) == _unpruned_scan(op, K)
