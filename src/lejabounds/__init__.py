@@ -14,7 +14,7 @@ from .compact_set import (CompactSet, ValidationError, cantor_approx,
 from .green import GreenBuildError, GreenModel, build_green_model, green_interval_analytic
 from .inequalities import (IneqReport, ineq1, ineq2, ineq2_tightness_scan,
                            ineq3, ineq4)
-from .interp import InterpolationOperator, LebesgueReport
+from .interp import InterpolationOperator, LebesgueReport, lebesgue_constants
 from .leja import (AuditReport, PointSequence, SeparationReport,
                    check_separation, leja_sequence, quasi_leja_sequence,
                    separation_floor, verify_quasi_leja)
@@ -36,8 +36,8 @@ __all__ = [
     "build_green_model", "cantor_approx", "chain_log_value",
     "check_separation", "check_spread_bound", "from_spec",
     "green_interval_analytic", "ineq1", "ineq2", "ineq2_tightness_scan",
-    "ineq3", "ineq4", "lebesgue_bound", "leja_sequence", "make_union",
-    "naive_strategy", "optimal_switching", "optimize_bound",
+    "ineq3", "ineq4", "lebesgue_bound", "lebesgue_constants", "leja_sequence",
+    "make_union", "naive_strategy", "optimal_switching", "optimize_bound",
     "quasi_lebesgue_bound", "quasi_leja_sequence",
     "separation_floor", "spread_bound", "spread_log_bound",
     "switching_constant", "two_track_strategy", "verify_quasi_leja",

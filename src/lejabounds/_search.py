@@ -45,21 +45,24 @@ def zoom_max(f, lo, hi, counts):
 _NEWTON_ITERS = 60
 
 
-def newton_max(slope, lo, hi):
+def newton_max(slope, lo, hi, owner=None):
     """The maximum of a function inside each bracket [lo_i, hi_i] by a
     bracketed Newton iteration on its derivative, all brackets at once.
 
     slope(x) returns the derivative g and its derivative g' at the 1-d
-    array x; g must be positive left of a bracket's maximum and negative
-    right of it. Each bracket starts at its midpoint, moves the end on the
-    side of the sign of g to x, and takes the Newton step x - g/g' if it
-    stays strictly inside, else bisects. A bracket stops when the Newton
-    step or its width is at most max(1e-12 * initial width, 4 ulps). The
-    step test comes first: a converged step lands on the end that has just
-    been moved to x, and bisecting it away would run every bracket to the
-    iteration cap. slope is called only strictly inside the brackets, once
-    per round on the brackets still running. Returns the final abscissae;
-    a bracket whose maximum is at an end converges to that end.
+    array x; given owner, an array with one entry per bracket (such as the
+    function each bracket belongs to), it is called as slope(x, o) with o
+    the entries of the brackets of x. g must be positive left of a
+    bracket's maximum and negative right of it. Each bracket starts at its
+    midpoint, moves the end on the side of the sign of g to x, and takes
+    the Newton step x - g/g' if it stays strictly inside, else bisects. A
+    bracket stops when the Newton step or its width is at most
+    max(1e-12 * initial width, 4 ulps). The step test comes first: a
+    converged step lands on the end that has just been moved to x, and
+    bisecting it away would run every bracket to the iteration cap. slope
+    is called only strictly inside the brackets, once per round on the
+    brackets still running. Returns the final abscissae; a bracket whose
+    maximum is at an end converges to that end.
     """
     lo, hi = np.atleast_1d(lo).astype(float), np.atleast_1d(hi).astype(float)
     x = 0.5 * (lo + hi)
@@ -69,7 +72,7 @@ def newton_max(slope, lo, hi):
         if not len(active):
             break
         xa, ta = x[active], tol[active]
-        g, gp = slope(xa)
+        g, gp = slope(xa) if owner is None else slope(xa, owner[active])
         la = np.where(g > 0.0, xa, lo[active])
         ha = np.where(g > 0.0, hi[active], xa)
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -95,6 +95,54 @@ def test_lebesgue_range(capsys):
     assert float(lines[1].split(",")[1]) == 1.0
 
 
+def test_lebesgue_range_step(capsys):
+    code, out, _ = run(capsys, "lebesgue", "--n-range", "2:10:2")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "n,lambda,argmax"
+    assert [line.split(",")[0] for line in lines[1:]] == ["2", "4", "6", "8", "10"]
+    # the same prefixes as in the unit-step range, up to the rounding of the padded sums
+    every = {line.split(",")[0]: float(line.split(",")[1])
+             for line in run(capsys, "lebesgue", "--n-range", "2:10")[1].splitlines()[1:]}
+    for line in lines[1:]:
+        n, lam, _ = line.split(",")
+        assert float(lam) == pytest.approx(every[n], rel=1e-13, abs=0)
+    # a step that overshoots hi stops below it
+    assert [line.split(",")[0] for line in
+            run(capsys, "lebesgue", "--n-range", "2:9:4")[1].splitlines()[1:]] == ["2", "6"]
+
+
+@pytest.mark.parametrize("spec", ["2:10:0", "2:10:-1", "2:10:1.5", "2:10:", "2:10:2:1"])
+def test_bad_range_step_is_a_usage_error(capsys, spec):
+    for command in ("lebesgue", "bound"):
+        assert run(capsys, command, "--n-range", spec) == (2, "", "error: bad range %r\n" % spec)
+
+
+@pytest.mark.parametrize("command", ["lebesgue", "bound"])
+def test_n_range_makes_one_newton_search(monkeypatch, capsys, command):
+    # every prefix of the range is scanned in one pass and one Newton search,
+    # and each prefix's pieces are pruned against its own best value; the
+    # scan is one call of the lebesgue_constant method
+    from lejabounds import interp
+    calls, scans = [], []
+    original, method = interp.newton_max, interp.InterpolationOperator.lebesgue_constant
+
+    def counted(slope, lo, hi, owner):
+        calls.append(len(lo))
+        return original(slope, lo, hi, owner)
+
+    def scan(op, K, prefixes=None):
+        scans.append(list(prefixes))
+        return method(op, K, prefixes)
+
+    monkeypatch.setattr(interp, "newton_max", counted)
+    monkeypatch.setattr(interp.InterpolationOperator, "lebesgue_constant", scan)
+    code, out, _ = run(capsys, command, "--n-range", "2:30")
+    assert code == 0 and out.count("\n") == 30
+    assert len(calls) == 1 and 29 <= calls[0] < 0.25 * sum(n - 1 for n in range(2, 31))
+    assert scans == [list(range(2, 31))]
+
+
 def test_bound_single_n(capsys):
     code, out, _ = run(capsys, "bound", "--n", "5", "--deltas", "6", "--tau", "0.9")
     assert code == 0
@@ -351,6 +399,7 @@ def test_green_build_refusal_exit_code(capsys):
     (("bound", "--n", "3", "--tau", "1.5"), "tau must lie in (0, 1]"),
     (("bound", "--n-range", "2:3", "--tau", "0"), "tau must lie in (0, 1]"),
     (("bound", "--n-range", "0:3"), "bad range '0:3'"),
+    (("bound", "--n-range", "2:10:0"), "bad range '2:10:0'"),
 ])
 def test_bound_usage_errors_come_before_the_green_build(monkeypatch, capsys, argv, message):
     def fail(K, *args, **kwargs):

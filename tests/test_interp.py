@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lejabounds import (InterpolationOperator, PointSequence, ValidationError,
-                        cantor_approx, leja_sequence, make_union,
+                        cantor_approx, lebesgue_constants, leja_sequence, make_union,
                         quasi_leja_sequence)
 from lejabounds._search import newton_max
 
@@ -440,6 +440,70 @@ def test_pruned_scan_is_the_unpruned_scan_bitwise():
         assert (rep.lambda_n, rep.argmax_x) == _unpruned_scan(op, K), (op.n, K.intervals)
 
 
+def _gap_samples(op, K):
+    """Five interior samples of every gap between adjacent nodes, those in K."""
+    nodes = np.sort(op.nodes)
+    x = (nodes[:-1, None] + np.diff(nodes)[:, None] * np.arange(1, 6) / 6.0).ravel()
+    comps = np.array(K.intervals)
+    i = np.searchsorted(comps[:, 0], x, side="right") - 1
+    return x[(i >= 0) & (x <= comps[np.maximum(i, 0), 1])]
+
+
+def test_batch_scan_matches_each_operator_scanned_alone():
+    # the battery's operators on each set, of mixed sizes (n = 1 included)
+    # and in shuffled order, in one scan
+    by_set = {}
+    for op, K in _scan_battery():
+        by_set.setdefault(K.intervals, (K, []))[1].append(op)
+    rng = np.random.default_rng(5)
+    sizes = set()
+    for K, ops in by_set.values():
+        ops = [ops[i] for i in rng.permutation(len(ops))]
+        sizes.update(op.n for op in ops)
+        reps = lebesgue_constants(ops, K)
+        assert [rep.n for rep in reps] == [op.n for op in ops]
+        for op, rep in zip(ops, reps):
+            alone = op.lebesgue_constant(K)
+            assert rep.lambda_n == pytest.approx(alone.lambda_n, rel=1e-13, abs=0)
+            assert op.lebesgue_function(rep.argmax_x) == rep.lambda_n
+            assert K.contains(rep.argmax_x)
+            x = _gap_samples(op, K)
+            if len(x):
+                assert rep.lambda_n >= (1.0 - 1e-12) * np.max(op.lebesgue_function(x))
+    assert 1 in sizes and len(by_set) == 4
+    assert lebesgue_constants([], _PROPERTY_SETS["unit"]) == []
+
+
+def test_prefix_scan_memory_bounded(K_unit):
+    # each padded row block holds two tables of 4 MB, the pieces of all
+    # prefixes take a few MB more: under 20 MB in all
+    seq = leja_sequence(K_unit, 2000)
+    for ns in (range(2, 301), range(100, 2001, 100)):
+        tracemalloc.start()
+        try:
+            reps = InterpolationOperator.from_sequence(seq, ns[-1]).lebesgue_constant(K_unit, ns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+        assert [rep.n for rep in reps] == list(ns)
+
+
+def test_prefix_reports_are_those_of_the_sequence_prefixes():
+    K = make_union([(0.0, 1.0), (2.0, 3.0)])
+    seq = leja_sequence(K, 30)
+    op = InterpolationOperator.from_sequence(seq)
+    ns = [30, 2, 7, 7, 1, 19]
+    reps = op.lebesgue_constant(K, ns)
+    assert reps == lebesgue_constants([InterpolationOperator.from_sequence(seq, n)
+                                       for n in ns], K)
+    assert [rep.n for rep in reps] == ns
+    assert op.lebesgue_constant(K, []) == []
+    for bad in ([0], [31], [2.5]):
+        with pytest.raises(ValidationError):
+            op.lebesgue_constant(K, bad)
+
+
 @pytest.mark.parametrize("nodes,K", [([0.3], [(-1.0, 1.0)]), ([0.3], [(0.3, 1.0)]),
                                      ([0.0, 1.0], [(0.0, 1.0)]), ([1.0, 0.0], [(0.0, 1.0)])])
 def test_lebesgue_constant_one_keeps_the_smaller_abscissa(nodes, K):
@@ -492,9 +556,9 @@ def test_scan_searches_few_pieces_at_high_degree(monkeypatch):
     op = InterpolationOperator(leja_sequence(K, 400).points)
     brackets = []
 
-    def counted(slope, lo, hi):
+    def counted(slope, lo, hi, owner):
         brackets.append(len(lo))
-        return newton_max(slope, lo, hi)
+        return newton_max(slope, lo, hi, owner)
 
     monkeypatch.setattr(interp, "newton_max", counted)
     rep = op.lebesgue_constant(K)

@@ -139,3 +139,26 @@ def test_newton_brackets_are_independent():
     x = newton_max(slope, [0.0, 5.5], [3.0, 9.0])
     np.testing.assert_allclose(x, [np.pi / 2, 7.0], rtol=0.0, atol=1e-12)
     np.testing.assert_array_equal(x[1:], newton_max(slope, 5.5, 9.0))
+
+
+def test_newton_passes_the_owners_of_the_running_brackets():
+    # each bracket's own peak c[k] comes in through its owner k, cut to the
+    # brackets still running: the quadratic one stops after two calls
+    c = np.array([0.3, 2.0, 7.5])
+    seen = []
+
+    def slope(x, k):
+        seen.append(k.copy())
+        assert len(k) == len(x)
+        t = x - c[k]
+        return (np.where(k == 0, -2.0 * t, -t ** 3 - t),
+                np.where(k == 0, -2.0, -3.0 * t ** 2 - 1.0))
+
+    lo, hi = [0.0, 0.0, 5.0], [1.0, 4.0, 9.0]
+    x = newton_max(slope, lo, hi, np.arange(3))
+    np.testing.assert_allclose(x, c, rtol=0.0, atol=1e-12)
+    np.testing.assert_array_equal(seen[0], [0, 1, 2])
+    assert all(0 not in k for k in seen[2:]) and len(seen) > 2
+    # each bracket alone takes the same iterates
+    for k in range(3):
+        assert newton_max(slope, lo[k], hi[k], np.array([k]))[0] == x[k]
