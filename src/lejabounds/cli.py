@@ -3,10 +3,11 @@
 Subcommands: points, lebesgue, bound, itau, verify. Subcommands compute,
 main writes: each _cmd_* returns (text, summary, ok), and main alone writes
 the text to stdout or --out, then the <out>.meta.json sidecar (command,
-effective parameters, summary), and exits 1 when ok is false. The one other
-write is bound --out-dir, one delta sweep CSV per n. All output is
-deterministic for fixed arguments (seeded randomness, no timestamps), so
-reruns are byte identical and diffable.
+effective parameters, summary; strict JSON, a non-finite float is null),
+and exits 1 when ok is false. The one other write is bound --out-dir, one
+delta sweep CSV per n. All output is deterministic for fixed arguments
+(seeded randomness, no timestamps), so reruns are byte identical and
+diffable.
 
 Exit codes: 0 success, 1 a verification or bound check failed, 2 bad usage,
 3 the Green's function of the set could not be computed.
@@ -88,6 +89,15 @@ def _lines(lines) -> str:
 def _table(header: str, rows) -> str:
     """CSV text: the header, then one line of repr floats per row."""
     return _lines([header] + [",".join(map(_fmt, row)) for row in rows])
+
+
+def _finite(obj):
+    """obj with every non-finite float as None, which strict JSON takes."""
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
 def _json(obj) -> str:
@@ -446,8 +456,8 @@ def main(argv=None) -> int:
             out.write_text(text)
             params = {k: v for k, v in vars(args).items() if k not in ("func", "config")}
             meta = {"command": args.command, "params": params, "summary": summary}
-            out.with_suffix(".meta.json").write_text(
-                json.dumps(meta, indent=2, sort_keys=True, default=str) + "\n")
+            out.with_suffix(".meta.json").write_text(json.dumps(
+                _finite(meta), indent=2, sort_keys=True, default=str, allow_nan=False) + "\n")
         if args.out is None or args.command == "verify":
             sys.stdout.write(text)
         return 0 if ok else 1

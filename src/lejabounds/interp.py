@@ -17,8 +17,9 @@ from one pass over the free component ends and the piece midpoints, whose
 tangents bound log Lambda on each piece, and one bracketed Newton search
 over just the pieces whose bound can reach the best value of that pass.
 `lebesgue_constants` makes that pass and that search once for many
-operators, and `lebesgue_constant` is the same scan of one operator or of
-the prefixes of its nodes.
+operators, in row blocks whose size the largest node count sets, and
+`lebesgue_constant` is the same scan of one operator or of the prefixes of
+its nodes.
 """
 
 from __future__ import annotations
@@ -123,14 +124,6 @@ class InterpolationOperator:
         return self._rows(x, lambda d: np.exp(self._log_basis(d), out=d).sum(axis=1),
                           np.ones(self.n))
 
-    def _log_slope(self, x):
-        """(log Lambda)' and (log Lambda)'' at the points x, off the nodes."""
-        return self._log_track(x, True)
-
-    def _log_track(self, x, second):
-        """`_Batch.track` of this operator alone."""
-        return _Batch([self]).track(x, np.zeros(len(x), dtype=int), second)
-
     def lebesgue_constant(self, K: CompactSet, prefixes=None):
         """Max of the Lebesgue function over K and where it is reached:
         `lebesgue_constants([self], K)[0]`, whose row blocks then hold this
@@ -161,30 +154,6 @@ class LebesgueReport:
     argmax_x: float
 
 
-def _blocks(n):
-    """Row blocks (r0, r1) of `_Batch.track`: every row is padded to the
-    block's last n, and the block's two tables, u and c, hold at most
-    _BLOCK_ENTRIES entries together (a row too long for that is a block of
-    its own); n, the node count of each row, is nondecreasing. A block from
-    r0 holds at most entries // n[r0] rows, so only those are looked at,
-    and when all rows fit none is: a one-operator scan calls this once per
-    track, and looking at its rows too made the Cantor scan timed in
-    `_Batch._block_track` take 1.05 times the replaced scan's time, not
-    1.01."""
-    entries = _BLOCK_ENTRIES // 2
-    blocks, r0 = [], 0
-    while r0 < len(n):
-        if (len(n) - r0) * n[-1] <= entries:
-            r1 = len(n)
-        else:
-            head = n[r0:r0 + entries // n[r0] + 1]
-            fits = np.arange(1, len(head) + 1) * head <= entries
-            r1 = r0 + max(1, np.count_nonzero(fits))
-        blocks.append((r0, r1))
-        r0 = r1
-    return blocks
-
-
 class _Batch:
     """Operators in order of node count, with the tracks of log Lambda of
     each at points it owns."""
@@ -210,33 +179,31 @@ class _Batch:
         c / prod_k (x - x_k) (Berrut & Trefethen, SIAM Rev. 46, 2004), so
         (log|B|)' = sum u_k and (log|B|)'' = sum u_k^2. In the same terms
         log Lambda = log(sum_k |w~_k u_k|) + max_k log|w_k| - sum_k log|u_k|,
-        with w~ the weights scaled by their largest modulus. Every track
-        comes from one row block of u. A single block is returned as it
-        is: copied through slices of g and h, the Cantor scan timed in
-        `_block_track` took 1.02 times the replaced scan's time, not 1.01.
+        with w~ the weights scaled by their largest modulus. The rows run in
+        blocks of _BLOCK_ENTRIES // (2 * n) points, n the largest node count
+        of the batch, each padded to its last row's node count, so a block's
+        two tables, u and c, hold at most _BLOCK_ENTRIES entries together.
         """
-        blocks = _blocks(self.size[owner])
-        if len(blocks) == 1:
-            return self._block_track(x, owner, self.size[owner[-1]], second)
+        rows = max(1, _BLOCK_ENTRIES // (2 * self.size[-1]))
         g, h = np.empty(len(x)), np.empty(len(x))
-        for r0, r1 in blocks:
-            g[r0:r1], h[r0:r1] = self._block_track(x[r0:r1], owner[r0:r1],
-                                                   self.size[owner[r1 - 1]], second)
+        for r0 in range(0, len(x), rows):
+            g[r0:r0 + rows], h[r0:r0 + rows] = self._block_track(
+                x[r0:r0 + rows], owner[r0:r0 + rows], second)
         return g, h
 
-    def _block_track(self, x, owner, width, second):
+    def _block_track(self, x, owner, second):
         """`track` on one row block, from the table of u = 1 / (x_k - x) and
         c = |w~_k u|. A block of several operators has one row per point,
-        gathered and padded to width with nodes at infinity and weights 0,
-        so u = 0 and c = 0 there, and the padding's log is masked out. A
-        block of one operator takes its nodes and weights as they are, with
-        no gather and no mask. Both forms give the same bits on one
-        operator, but the padded form was slower there: the Cantor depth-3
-        quasi scan (n = 120) of the `cantor-relaxed` workload took 1.18 times
-        the time of the one-operator scan this one replaced, against 1.01
-        this way, and the 8 `leja-highdeg` scans 0.96 times against 0.85
-        (medians of 4000 and 300 alternating calls in one process, 2 vCPUs,
-        numpy 2.4.6)."""
+        gathered and padded to its last row's node count with nodes at
+        infinity and weights 0, so u = 0 and c = 0 there, and the padding's
+        log is masked out. A block of one operator takes its nodes and
+        weights as they are, with no gather and no mask. Both forms give the
+        same bits on one operator, but the padded form was slower there: the
+        Cantor depth-3 quasi scan (n = 120) of the `cantor-relaxed` workload
+        took 1.18 times the time of the one-operator scan this one replaced,
+        against 1.01 this way, and the 8 `leja-highdeg` scans 0.96 times
+        against 0.85 (medians of 4000 and 300 alternating calls in one
+        process, 2 vCPUs, numpy 2.4.6)."""
         o0, o1 = owner[0], owner[-1] + 1
         if o1 - o0 == 1:
             u = self.ops[o0].nodes - x[:, None]
@@ -244,7 +211,7 @@ class _Batch:
             c = self.ops[o0]._w * u
             live = True
         else:
-            col = np.arange(width)
+            col = np.arange(self.size[o1 - 1])
             at = np.minimum(self.start[o0:o1, None] + col, len(self.nodes) - 1)
             pad = col >= self.size[o0:o1, None]
             u = np.where(pad, np.inf, self.nodes[at])[owner - o0]
@@ -326,10 +293,9 @@ def lebesgue_constants(operators, K: CompactSet) -> list[LebesgueReport]:
     f = log Lambda and g = f'.
 
     One pass takes f and g at every free end (a component end that is
-    not a node) and at every piece midpoint of every operator, in row
-    blocks of the operators in order of node count, each block padded to
-    its largest node count; best is the largest f of an operator's rows. A
-    piece peaks at a free end where g points out of the piece, and
+    not a node) and at every piece midpoint of every operator, in the row
+    blocks of `_Batch.track`; best is the largest f of an operator's rows.
+    A piece peaks at a free end where g points out of the piece, and
     otherwise (an inner piece) at its one interior critical point; node
     ends never are candidates, since Lambda = 1 there. Only the inner
     pieces with U >= best - 1e-8 (1 + |g(m)| (hi - lo)), best that of the

@@ -68,6 +68,23 @@ def test_out_file_holds_stdout_and_sidecar(tmp_path, capsys, argv, summary_keys)
     assert set(meta["summary"]) == summary_keys
 
 
+@pytest.mark.parametrize("argv,key,where", [
+    (("points", "--n", "1"), "min_separation", "summary"),
+    (("bound", "--n", "30000", "--set", "0,1;2,3", "--deltas", "1"), "best_bound", "summary"),
+    (("points", "--n", "3", "--cantor-ratio", "nan"), "cantor_ratio", "params"),
+])
+def test_sidecar_is_strict_json(tmp_path, capsys, argv, key, where):
+    # one point has no separation, a bound at n = 30000 overflows, and a nan
+    # option stays nan: each non-finite float is written as null
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "r.csv"))
+    assert code == 0
+    meta = json.loads((tmp_path / "r.meta.json").read_text(), parse_constant=refuse)
+    assert meta[where][key] is None
+
+
 def test_points_quasi_seeded(capsys):
     code, out1, _ = run(capsys, "points", "--n", "8", "--tau", "0.7", "--seed", "4")
     code2, out2, _ = run(capsys, "points", "--n", "8", "--tau", "0.7", "--seed", "4")

@@ -12,6 +12,7 @@ from lejabounds import (InterpolationOperator, PointSequence, ValidationError,
                         cantor_approx, lebesgue_constants, leja_sequence, make_union,
                         quasi_leja_sequence)
 from lejabounds._search import newton_max
+from lejabounds.interp import _Batch
 
 
 @pytest.fixture(scope="module")
@@ -267,6 +268,12 @@ def test_barycentric_matches_log_space_reference(K):
         np.testing.assert_array_equal(op.lebesgue_function(op.nodes), np.ones(n))
 
 
+def _track(op, x, second=True):
+    """(log Lambda)' at the points x, off the nodes, and then (log Lambda)''
+    if second, else log Lambda: the scan's track of op alone."""
+    return _Batch([op]).track(x, np.zeros(len(x), dtype=int), second)
+
+
 def _exact_log_slope(nodes, x):
     """(log Lambda)' and (log Lambda)'' at x from the product form of the
     L_k in exact rational arithmetic."""
@@ -299,7 +306,7 @@ def _clustered():
 def test_log_slope_accurate_near_clustered_nodes():
     nodes, x = _clustered()
     op = InterpolationOperator(nodes)
-    g, gp = op._log_slope(x)
+    g, gp = _track(op, x)
     for xi, gi, gpi in zip(x, g, gp):
         ref_g, ref_gp, lam = _exact_log_slope(nodes, xi)
         assert lam > 1e6
@@ -398,14 +405,15 @@ def _pieces(op, K):
     ends = np.concatenate((lo, hi))
     free = ~np.isin(ends, nodes)
     g = np.concatenate((np.full(len(lo), np.inf), np.full(len(hi), -np.inf)))
-    g[free] = op._log_slope(ends[free])[0]
+    g[free] = _track(op, ends[free])[0]
     return lo, hi, ends[free], (g[:len(lo)] > 0.0) & (g[len(lo):] < 0.0)
 
 
 def _unpruned_scan(op, K):
     """(lambda_n, argmax_x) with a Newton search on every inner piece."""
     lo, hi, free_ends, inner = _pieces(op, K)
-    xs = np.concatenate((free_ends, newton_max(op._log_slope, lo[inner], hi[inner])))
+    slope = functools.partial(_track, op)
+    xs = np.concatenate((free_ends, newton_max(slope, lo[inner], hi[inner])))
     vals = op.lebesgue_function(xs)
     i = np.lexsort((xs, -vals))[0]
     return float(vals[i]), float(xs[i])
@@ -541,11 +549,41 @@ def test_midpoint_tangent_bounds_log_lambda_on_its_piece(kind):
     op = InterpolationOperator(nodes)
     lo, hi, _, _ = _pieces(op, K)
     mid = 0.5 * (lo + hi)
-    g, f = op._log_track(mid, False)
+    g, f = _track(op, mid, False)
     np.testing.assert_allclose(f, np.log(op.lebesgue_function(mid)), rtol=1e-12, atol=1e-12)
     x = np.linspace(lo, hi, 200).T
     tangent = f[:, None] + g[:, None] * (x - mid[:, None])
     assert np.all(np.log(op.lebesgue_function(x)) <= tangent + 1e-12 * (1.0 + np.abs(f[:, None])))
+
+
+def test_row_blocks_never_change_a_one_operator_report(monkeypatch):
+    # blocks of 4096 entries: the battery's one-operator scans and a 2..60
+    # prefix scan each span many blocks. The boundaries move no bit of a
+    # one-operator report; the prefixes' rows are padded to other widths, so
+    # their sums round otherwise, and the range still makes one Newton search
+    from lejabounds import interp
+    cases = _scan_battery()
+    K = _PROPERTY_SETS["unit"]
+    op = InterpolationOperator.from_sequence(leja_sequence(K, 60))
+    ns = range(2, 61)
+    alone = [o.lebesgue_constant(S) for o, S in cases]
+    prefixes = op.lebesgue_constant(K, ns)
+    calls = []
+
+    def counted(slope, lo, hi, owner):
+        calls.append(len(lo))
+        return newton_max(slope, lo, hi, owner)
+
+    monkeypatch.setattr(interp, "_BLOCK_ENTRIES", 4096)
+    assert [o.lebesgue_constant(S) for o, S in cases] == alone
+    monkeypatch.setattr(interp, "newton_max", counted)
+    reps = op.lebesgue_constant(K, ns)
+    assert len(calls) == 1
+    assert [rep.n for rep in reps] == list(ns)
+    for n, rep, ref in zip(ns, reps, prefixes):
+        assert rep.lambda_n == pytest.approx(ref.lambda_n, rel=1e-13, abs=0)
+        prefix = InterpolationOperator(op.nodes[:n])
+        assert prefix.lebesgue_function(rep.argmax_x) == rep.lambda_n
 
 
 def test_scan_searches_few_pieces_at_high_degree(monkeypatch):
