@@ -25,8 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import _bound, _check_args, optimize_bound, switching_constant
-from .compact_set import (CompactSet, ValidationError, _check_tau, cantor_approx, from_spec,
-                          make_union)
+from .compact_set import (CompactSet, ValidationError, _check_ratio, _check_tau, cantor_approx,
+                          from_spec, make_union)
 from .green import GreenBuildError, build_green_model, green_interval_analytic
 from .inequalities import (ineq1_log_margin, ineq2_log_margin,
                            ineq2_tightness_scan, ineq3_log_margin, ineq4)
@@ -59,6 +59,8 @@ def _parse_range(spec: str):
 
 
 def _build_set(args) -> CompactSet:
+    """--cantor-ratio is checked even when no --cantor-depth uses it, as --seed is at tau = 1."""
+    _check_ratio(args.cantor_ratio)
     if args.cantor_depth is not None:
         return cantor_approx(args.cantor_depth, args.cantor_ratio)
     if args.set_spec is not None:

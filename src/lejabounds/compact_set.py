@@ -31,6 +31,12 @@ def _check_tau(tau: float) -> None:
         raise ValidationError("tau must lie in (0, 1]")
 
 
+def _check_ratio(ratio: float) -> None:
+    """A Cantor construction keeps the outer ratio in (0, 1/2) of each interval."""
+    if not 0.0 < ratio < 0.5:
+        raise ValidationError("ratio must lie in (0, 1/2)")
+
+
 def _check_int(value, message: str) -> int:
     """A count or an index is an int or an integral real, such as 3.0;
     returns it as an int, and raises ValidationError(message) otherwise."""
@@ -175,8 +181,7 @@ def cantor_approx(depth: int, ratio: float) -> CompactSet:
     depth = _check_int(depth, message)
     if depth < 0:
         raise ValidationError(message)
-    if not (0.0 < ratio < 0.5):
-        raise ValidationError("ratio must lie in (0, 1/2)")
+    _check_ratio(ratio)
     if depth >= MAX_COMPONENTS.bit_length():
         raise ValidationError(f"2^{depth} components exceed cap {MAX_COMPONENTS}")
     intervals = [(0.0, 1.0)]

@@ -27,9 +27,10 @@ and their interpolants at P = 24 first-kind Chebyshev points are accurate to
 about rho^-24 = 4e-19 relative (Trefethen, ATAP, 2013, ch. 8). A piece with
 more than P far sources sums them at its P proxy points only and
 interpolates to its nodes with one fixed barycentric matrix, the far-field
-compression of Greengard & Rokhlin (J. Comput. Phys. 73, 1987) at one level;
-its near sources are summed at every node. A set of at most 12 components
-has no piece with more than 22 far sources, so there every sum is direct.
+compression of Greengard & Rokhlin (J. Comput. Phys. 73, 1987) at one level.
+Near means within one piece width, or every source when at most P are far,
+and every piece sums its near sources pair by pair at every node. A set of
+at most 12 components has at most 24 ends, so there every source is near.
 
 The logarithmic potential is then evaluated through the Chebyshev
 coefficients C_{j,k} of the transplanted density v_j(theta): with
@@ -186,77 +187,58 @@ class GreenModel:
         return G if deltas else float(G[0])
 
 
-def _diff_blocks(t, pts, skip):
-    """Row blocks (rows, D) of D[r, i, m] = t[r, i] - pts[m], with the pairs (r, m)
-    in skip (index arrays sorted by r) set to 1: _TABLE_BLOCK entries, or one row."""
-    step = max(1, _TABLE_BLOCK // max(t.shape[1] * len(pts), 1))
-    for r0 in range(0, len(t), step):
-        D = t[r0:r0 + step, :, None] - pts
-        a, b = np.searchsorted(skip[0], (r0, r0 + step))
-        D[skip[0][a:b] - r0, :, skip[1][a:b]] = 1.0
-        yield slice(r0, r0 + step), D
-
-
 def _near_far_sum(lo, hi, t, src, skip, u=None):
     """The build's sums over the sorted sources src at the cosine nodes t[r] of the
     pieces [lo[r], hi[r]], without the pairs (r, m) in skip (a piece's own ends or
-    zero; index arrays sorted by r): sum_m log|t[r, i] - src[m]| (rows x order), or,
-    given u, the Jacobian sums sum_i u[r, i] / (t[r, i] - src[m]) (rows x sources,
-    arbitrary at the skipped pairs).
+    zero): sum_m log|t[r, i] - src[m]| (rows x order), or, given u, the Jacobian sums
+    sum_i u[r, i] / (t[r, i] - src[m]) (rows x sources, arbitrary at the skipped pairs).
 
     A piece with more than _PROXIES far sources (see the module docstring) takes
     their log-sum at its proxies tau_p and interpolates it to its nodes with the
     matrix M of _proxy_matrix, and their Jacobian sums as sum_p (u M^T)[r, p] /
-    (tau_p - src[m]); its near sources are summed at every node. The other pieces
-    sum every source at every node. Every table is built in row blocks of at most
-    _TABLE_BLOCK entries (or one row), and no product goes to BLAS, which may start
-    threads of its own."""
-    S = len(src)
+    (tau_p - src[m]); for every other piece all sources count as near. The near
+    pairs of all pieces go through one pair loop, which sums each at every node.
+    Every table is built in blocks of at most _TABLE_BLOCK entries (or one row or
+    pair), and no product goes to BLAS, which may start threads of its own."""
+    S, order = len(src), t.shape[1]
     a = np.searchsorted(src, 2.0 * lo - hi)          # src[a:b], within a width of the
     b = np.searchsorted(src, 2.0 * hi - lo, side="right")   # piece, is near; the rest far
     proxy = S - (b - a) > _PROXIES
-    out = np.empty(t.shape if u is None else (len(t), S))
-
-    d = np.flatnonzero(~proxy)                   # every source summed at the nodes
-    keep, pos = ~proxy[skip[0]], np.cumsum(~proxy) - 1
-    ud = None if u is None else u[d]
-    for rows, D in _diff_blocks(t[d], src, (pos[skip[0][keep]], skip[1][keep])):
-        if u is None:
-            out[d[rows]] = np.log(np.abs(D, out=D), out=D).sum(axis=2)
-        else:
-            out[d[rows]] = np.einsum("gi,gik->gk", ud[rows], np.divide(1.0, D, out=D))
+    a, b = np.where(proxy, a, 0), np.where(proxy, b, S)     # ... or every source
+    out = np.zeros(t.shape if u is None else (len(t), S))
+    step = max(1, _TABLE_BLOCK // order)
 
     f = np.flatnonzero(proxy)
-    if not len(f):
-        return out
-    order, af, bf = t.shape[1], a[f], b[f]
-    tau = 0.5 * (lo[f] + hi[f])[:, None] + 0.5 * (hi[f] - lo[f])[:, None] * _PROXY_POINTS
-    M = _proxy_matrix(order)
-    F = np.empty((len(f), _PROXIES))
-    U = None if u is None else np.einsum("ri,pi->rp", u[f], M)
-    m = np.arange(S)
-    step = max(1, _TABLE_BLOCK // (_PROXIES * S))
-    for r0 in range(0, len(f), step):            # far sources at the proxies
-        rows = slice(r0, r0 + step)
-        D = tau[rows, :, None] - src
-        m0, m1 = af[rows].min(), bf[rows].max()   # the columns near to some row of the block
-        near = (m[m0:m1] >= af[rows, None]) & (m[m0:m1] < bf[rows, None])
-        np.copyto(D[:, :, m0:m1], 1.0, where=near[:, None, :])
+    if len(f):
+        af, bf = a[f], b[f]
+        tau = 0.5 * (lo[f] + hi[f])[:, None] + 0.5 * (hi[f] - lo[f])[:, None] * _PROXY_POINTS
+        M = _proxy_matrix(order)
+        F = np.empty((len(f), _PROXIES))
+        U = None if u is None else np.einsum("ri,pi->rp", u[f], M)
+        m = np.arange(S)
+        fstep = max(1, _TABLE_BLOCK // (_PROXIES * S))
+        for r0 in range(0, len(f), fstep):       # far sources at the proxies
+            rows = slice(r0, r0 + fstep)
+            D = tau[rows, :, None] - src
+            m0, m1 = af[rows].min(), bf[rows].max()   # the columns near to some row of the block
+            near = (m[m0:m1] >= af[rows, None]) & (m[m0:m1] < bf[rows, None])
+            np.copyto(D[:, :, m0:m1], 1.0, where=near[:, None, :])
+            if u is None:
+                F[rows] = np.log(np.abs(D, out=D), out=D).sum(axis=2)
+            else:
+                out[f[rows]] = np.einsum("rp,rpm->rm", U[rows], np.divide(1.0, D, out=D))
         if u is None:
-            F[rows] = np.log(np.abs(D, out=D), out=D).sum(axis=2)
-        else:
-            out[f[rows]] = np.einsum("rp,rpm->rm", U[rows], np.divide(1.0, D, out=D))
-    step = max(1, _TABLE_BLOCK // order)
-    if u is None:
-        for r0 in range(0, len(f), step):        # ... interpolated to the nodes
-            out[f[r0:r0 + step]] = np.einsum("rp,pi->ri", F[r0:r0 + step], M)
+            for r0 in range(0, len(f), step):    # ... interpolated to the nodes
+                out[f[r0:r0 + step]] = np.einsum("rp,pi->ri", F[r0:r0 + step], M)
 
-    # near pairs (row of f, source), sorted by row, without the skipped ones
-    n = bf - af
-    r = np.repeat(np.arange(len(f)), n)
-    s = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - af, n)
-    pair = ~np.isin(f[r] * S + s, skip[0] * S + skip[1], assume_unique=True)
-    r, s = f[r[pair]], s[pair]
+    # near pairs (row, source), sorted by row, without the skipped ones
+    n = b - a
+    r = np.repeat(np.arange(len(t)), n)
+    s = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - a, n)
+    skipped = np.zeros((len(t), S), dtype=bool)
+    skipped[skip] = True
+    pair = ~skipped[r, s]
+    r, s = r[pair], s[pair]
     head = np.ones(len(r), dtype=bool)            # the first pair of a row or of a block
     head[1:] = r[1:] != r[:-1]
     head[::step] = True

@@ -71,11 +71,10 @@ def test_out_file_holds_stdout_and_sidecar(tmp_path, capsys, argv, summary_keys)
 @pytest.mark.parametrize("argv,key,where", [
     (("points", "--n", "1"), "min_separation", "summary"),
     (("bound", "--n", "30000", "--set", "0,1;2,3", "--deltas", "1"), "best_bound", "summary"),
-    (("points", "--n", "3", "--cantor-ratio", "nan"), "cantor_ratio", "params"),
 ])
 def test_sidecar_is_strict_json(tmp_path, capsys, argv, key, where):
-    # one point has no separation, a bound at n = 30000 overflows, and a nan
-    # option stays nan: each non-finite float is written as null
+    # one point has no separation and a bound at n = 30000 overflows: each
+    # non-finite float is written as null
     def refuse(name):
         raise ValueError(f"{name} is not JSON")
 
@@ -340,6 +339,8 @@ def test_usage_errors(tmp_path, capsys):
     (("verify", "--tau", "0"), "tau must lie in (0, 1]"),
     (("points", "--n", "3", "--seed", "-1"), "seed must be nonnegative"),
     (("points", "--n", "3", "--set", ""), "empty set"),
+    (("points", "--n", "3", "--cantor-ratio", "7"), "ratio must lie in (0, 1/2)"),
+    (("points", "--n", "3", "--cantor-ratio", "nan"), "ratio must lie in (0, 1/2)"),
 ])
 def test_bad_seed_huge_set_and_audit_tau_are_usage_errors(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", "error: %s\n" % message)
