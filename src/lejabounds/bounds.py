@@ -12,11 +12,11 @@ after n is the switching spread bound (switching.spread_bound) at D/Delta;
 both are evaluated by one log-space core, _log_spread. At tau = 1 the bound
 reads 2 n (diam(K) / delta * exp(n G(delta)))^(9/8).
 
-Since any delta gives a valid bound and G(delta) depends on neither n nor
-tau, optimize_bound evaluates G once on one shared log grid of deltas, in
-one batched call per table, and takes, for every requested n, the minimum
-over that table (widening the grid by a decade on a side where some n has
-its minimum on the edge).
+The bound is one (n x delta) table, _log_bounds. G(delta) depends on
+neither n nor tau and any delta gives a valid bound, so optimize_bound
+evaluates G once per delta of one shared log grid, in one batched call per
+table, and takes for every n the minimum over the table (widening the grid
+by a decade on a side where some n has its minimum on the edge).
 """
 
 from __future__ import annotations
@@ -56,8 +56,12 @@ def _log_spread(log_ratio, tau: float):
             + (9.0 / 8.0 + 2.0 * math.log(1.0 / tau) / _LAM) * log_ratio)
 
 
-def _log_bound(diam: float, G: float, n: int, delta: float, tau: float) -> float:
-    return math.log(n) + _log_spread(math.log(diam) - math.log(tau * delta) + n * G, tau)
+def _log_bounds(diam: float, ns, deltas, gs, tau: float) -> np.ndarray:
+    """log bound at every n (rows) and delta (columns), gs = G(deltas): math.log (np.log
+    may round otherwise) once per n and per tau delta, the rest elementwise."""
+    log_tau_delta = np.array([math.log(tau * d) for d in np.asarray(deltas).tolist()])
+    log_ratio = (math.log(diam) - log_tau_delta) + np.multiply.outer(ns, gs)
+    return np.array([math.log(k) for k in ns])[:, None] + _log_spread(log_ratio, tau)
 
 
 def _check_args(n: int, tau: float) -> int:
@@ -69,12 +73,6 @@ def _check_args(n: int, tau: float) -> int:
     return n
 
 
-def _bound(diam: float, G: float, n: int, delta: float, tau: float) -> float:
-    """Bound value from an already computed G(delta); +inf past a double."""
-    n = _check_args(n, tau)
-    return _exp(_log_bound(diam, G, n, delta, tau))
-
-
 def lebesgue_bound(model: GreenModel, n: int, delta: float) -> float:
     """Upper bound 2n (diam/delta * e^{n G(delta)})^{9/8} for exact Leja
     nodes; +inf when the value overflows a double."""
@@ -82,9 +80,11 @@ def lebesgue_bound(model: GreenModel, n: int, delta: float) -> float:
 
 
 def quasi_lebesgue_bound(model: GreenModel, n: int, tau: float, delta: float) -> float:
-    """Upper bound for tau-quasi-Leja nodes; tau = 1 reproduces
-    lebesgue_bound bitwise."""
-    return _bound(model.set.diam, model.neighborhood_max(delta), n, delta, tau)
+    """Upper bound for tau-quasi-Leja nodes, one cell of the bound table;
+    +inf past a double. tau = 1 reproduces lebesgue_bound bitwise."""
+    n = _check_args(n, tau)
+    G = model.neighborhood_max(delta)
+    return _exp(float(_log_bounds(model.set.diam, [n], [delta], [G], tau)[0, 0]))
 
 
 @dataclass
@@ -129,13 +129,8 @@ def optimize_bound(model: GreenModel, n, tau: float = 1.0, delta_grid=None):
         return np.atleast_1d(model.neighborhood_max(*deltas)) if len(deltas) else deltas
 
     g_vals = G(grid)
-    # the table of _log_bound in its operations, so bitwise: math.log (np.log
-    # may round otherwise) once per n and per delta, the rest elementwise
-    log_n = np.array([math.log(k) for k in ns])[:, None]
     for attempt in range(_WIDEN_RETRIES + 1):
-        log_ratio = ((math.log(diam) - np.array([math.log(tau * d) for d in grid.tolist()]))
-                     + np.multiply.outer(ns, g_vals))
-        logs = log_n + _log_spread(log_ratio, tau)
+        logs = _log_bounds(diam, ns, grid, g_vals, tau)
         idx = np.argmin(logs, axis=1)
         left, right = np.any(idx == 0), np.any(idx == len(grid) - 1)
         if given or attempt == _WIDEN_RETRIES or not (left or right):

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import _bound, _check_args, optimize_bound, switching_constant
+from .bounds import _check_args, _exp, _log_bounds, optimize_bound, switching_constant
 from .compact_set import (CompactSet, ValidationError, _check_ratio, _check_tau, cantor_approx,
                           from_spec, make_union)
 from .green import GreenBuildError, build_green_model, green_interval_analytic
@@ -142,7 +142,7 @@ def _cmd_bound(args) -> tuple[str, dict, bool]:
         # single n: delta sweep at tau = 1 and at the requested tau
         rep = optimize_bound(model, args.n, args.tau,
                              delta_grid=np.geomspace(1e-4 * K.diam, K.diam, args.deltas))
-        tau1 = [_bound(K.diam, g, args.n, d, 1.0) for d, g in zip(rep.delta_grid, rep.g_values)]
+        tau1 = map(_exp, _log_bounds(K.diam, [args.n], rep.delta_grid, rep.g_values, 1.0)[0])
         text = _table("delta,G,bound_tau1,bound_tau",
                       zip(rep.delta_grid, rep.g_values, tau1, rep.bound_values))
         return text, {"best_delta": rep.best_delta, "best_bound": rep.best_bound}, True

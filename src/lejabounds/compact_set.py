@@ -38,13 +38,26 @@ def _check_ratio(ratio: float) -> None:
 
 
 def _check_int(value, message: str) -> int:
-    """A count or an index is an int or an integral real, such as 3.0;
-    returns it as an int, and raises ValidationError(message) otherwise."""
+    """A count or an index is an int or an integral real, such as 3.0, not a
+    boolean; returns it as an int, and raises ValidationError(message) otherwise."""
     try:
-        if value == int(value):
+        if not isinstance(value, (bool, np.bool_)) and value == int(value):
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
+    raise ValidationError(message)
+
+
+def _floats(values, message: str) -> tuple:
+    """A JSON array of numbers (list, tuple or array) as a tuple of floats, else
+    ValidationError(message). A string or a boolean is not a number here."""
+    if isinstance(values, (list, tuple, np.ndarray)) and all(
+            isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+            for v in values):
+        try:
+            return tuple(map(float, values))
+        except OverflowError:       # an int past the largest double
+            pass
     raise ValidationError(message)
 
 
@@ -205,11 +218,18 @@ def from_spec(obj: dict) -> CompactSet:
     if not isinstance(obj, dict):
         raise ValidationError("set spec must be a JSON object")
     if "intervals" in obj:
-        return make_union(obj["intervals"])
+        message = "intervals must be a list of [lo, hi] pairs of numbers"
+        pairs = obj["intervals"]
+        if not isinstance(pairs, (list, tuple)):
+            raise ValidationError(message)
+        pairs = [_floats(pair, message) for pair in pairs]
+        if any(len(pair) != 2 for pair in pairs):
+            raise ValidationError(message)
+        return make_union(pairs)
     if "cantor" in obj:
-        c = obj["cantor"]
         try:
-            return cantor_approx(c["depth"], float(c["ratio"]))
+            depth, ratio = obj["cantor"]["depth"], obj["cantor"]["ratio"]
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"bad cantor spec: {exc}") from exc
+        return cantor_approx(depth, _floats([ratio], "bad cantor spec: ratio must be a number")[0])
     raise ValidationError("set spec needs an 'intervals' or 'cantor' key")

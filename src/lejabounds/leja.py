@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import _check_args
-from .compact_set import CompactSet, ValidationError, _check_int, _check_tau
+from .compact_set import CompactSet, ValidationError, _check_int, _check_tau, _floats
 from .green import GreenModel
 
 DEFAULT_GRID_DENSITY = 10_000.0
@@ -78,7 +78,7 @@ class PointSequence:
         if not 0.0 < grid_density < math.inf:
             raise ValidationError("grid_density must be positive and finite")
         seed_message = "rng_seed must be a nonnegative integer"
-        if seed is not None and (isinstance(seed, bool) or _check_int(seed, seed_message) < 0):
+        if seed is not None and _check_int(seed, seed_message) < 0:
             raise ValidationError(seed_message)
         ratios = _floats(ratios, "achieved_ratios must be a list of finite numbers")
         if not all(map(math.isfinite, ratios)):
@@ -89,19 +89,6 @@ class PointSequence:
         return cls(points=points, tau=tau, grid_density=grid_density,
                    rng_seed=None if seed is None else int(seed), x0_policy=policy,
                    achieved_ratios=ratios)
-
-
-def _floats(values, message: str) -> tuple:
-    """A JSON array of numbers as a tuple of floats. A string iterates over its
-    characters and a boolean converts to 0 or 1, so neither is a number here."""
-    try:
-        if not isinstance(values, str):
-            values = tuple(values)
-            if not any(isinstance(v, bool) for v in values):
-                return tuple(map(float, values))
-    except (TypeError, ValueError):
-        pass
-    raise ValidationError(message)
 
 
 def _is_finite_number(text: str) -> bool:
@@ -167,8 +154,7 @@ def _refine_step(K: CompactSet, grid, cum, pts_arr, idx: int):
                 x = min(max(step, a), b)
                 break
             x = step if a < step < b else 0.5 * (a + b)
-    with np.errstate(divide="ignore"):
-        fx = float(np.sum(np.log(np.abs(x - pts_arr))))
+    fx = float(np.sum(np.log(np.abs(x - pts_arr))))
     return (x, fx) if fx > fg else (xg, fg)
 
 
@@ -177,17 +163,17 @@ def _greedy(K: CompactSet, grid, x0: float, n: int, choose) -> tuple[list, list]
     refines the argmax of the running log product cum = sum_j log|grid - x_j|
     to the step maximum P* (`_refine_step`), and choose(cum, pts_arr, x_star,
     P*) gives the next point and its log product P; cum is updated in place.
-    Returns the points and the step ratios exp(min(P - P*, 0))."""
+    Returns the points and the step ratios exp(min(P - P*, 0)). One errstate
+    covers the loop, choose included: log 0 = -inf at a chosen point, unwarned."""
     pts, ratios = np.full(n, float(x0)), []
     term = np.empty_like(grid)
     with np.errstate(divide="ignore"):
         cum = np.log(np.abs(grid - x0))
-    for k in range(1, n):
-        x_star, log_max = _refine_step(K, grid, cum, pts[:k], int(np.argmax(cum)))
-        x, log_val = choose(cum, pts[:k], x_star, log_max)
-        pts[k] = x
-        ratios.append(math.exp(min(log_val - log_max, 0.0)))
-        with np.errstate(divide="ignore"):
+        for k in range(1, n):
+            x_star, log_max = _refine_step(K, grid, cum, pts[:k], int(np.argmax(cum)))
+            x, log_val = choose(cum, pts[:k], x_star, log_max)
+            pts[k] = x
+            ratios.append(math.exp(min(log_val - log_max, 0.0)))
             cum += np.log(np.abs(np.subtract(grid, x, out=term), out=term), out=term)
     return pts.tolist(), ratios
 
@@ -255,8 +241,7 @@ def verify_quasi_leja(seq: PointSequence, K: CompactSet, tau: float = None) -> A
 
     def own_next(cum, arr, x_star, log_max):
         x = pts[len(arr)]
-        with np.errstate(divide="ignore"):
-            return x, float(np.sum(np.log(np.abs(x - arr))))
+        return x, float(np.sum(np.log(np.abs(x - arr))))
 
     _, ratios = _greedy(K, K.grid(2.0 * seq.grid_density), pts[0], len(pts), own_next)
     worst = min(ratios, default=1.0)

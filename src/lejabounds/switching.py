@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import _exp, _log_spread, switching_constant
-from .compact_set import ValidationError, _check_int, _check_tau
+from .compact_set import ValidationError, _check_int, _check_tau, _floats
 
 _DP_ROWS = 64     # starts per block of optimal_switching's log table
 
@@ -76,12 +76,12 @@ class SwitchingInstance:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SwitchingInstance":
+        message = "a switching instance is a JSON object with numeric 'points' and 'tau'"
         try:
-            points, tau = tuple(map(float, obj["points"])), float(obj["tau"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError("a switching instance is a JSON object with "
-                                  f"numeric 'points' and 'tau' ({exc!r})") from exc
-        return cls(points=points, tau=tau)
+            points, tau = obj["points"], obj["tau"]
+        except (KeyError, TypeError) as exc:
+            raise ValidationError(f"{message} ({exc!r})") from exc
+        return cls(points=_floats(points, message), tau=_floats([tau], message)[0])
 
 
 @dataclass(frozen=True)

@@ -322,6 +322,11 @@ def test_usage_errors(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+_INTERVALS = "intervals must be a list of [lo, hi] pairs of numbers"
+_RATIO = "bad cantor spec: ratio must be a number"
+_INSTANCE = "a switching instance is a JSON object with numeric 'points' and 'tau'"
+
+
 @pytest.mark.parametrize("argv,message", [
     (("points", "--n", "3", "--tau", "0.5", "--seed", "-1"), "seed must be nonnegative"),
     (("itau", "--seed", "-1"), "seed must be nonnegative"),
@@ -341,8 +346,33 @@ def test_usage_errors(tmp_path, capsys):
     (("points", "--n", "3", "--set", ""), "empty set"),
     (("points", "--n", "3", "--cantor-ratio", "7"), "ratio must lie in (0, 1/2)"),
     (("points", "--n", "3", "--cantor-ratio", "nan"), "ratio must lie in (0, 1/2)"),
+    # malformed files: a JSON number is a number, not a string or a boolean,
+    # and an interval is exactly two of them
+    (("--config", '{"set": {"intervals": 5}}', "points", "--n", "3"), _INTERVALS),
+    (("--config", '{"set": {"intervals": [5]}}', "points", "--n", "3"), _INTERVALS),
+    (("--config", '{"set": {"intervals": [[0]]}}', "points", "--n", "3"), _INTERVALS),
+    (("--config", '{"set": {"intervals": "x"}}', "points", "--n", "3"), _INTERVALS),
+    (("--config", '{"set": {"intervals": [[0, 1, 7]]}}', "points", "--n", "3"), _INTERVALS),
+    (("--config", '{"set": {"intervals": ["01", "23"]}}', "points", "--n", "3"), _INTERVALS),
+    (("--config", '{"set": {"intervals": [[false, true]]}}', "points", "--n", "3"),
+     _INTERVALS),
+    (("--config", '{"set": {"cantor": {"depth": 2, "ratio": "x"}}}', "points", "--n", "3"),
+     _RATIO),
+    (("--config", '{"set": {"cantor": {"depth": 2, "ratio": "0.25"}}}', "points", "--n", "3"),
+     _RATIO),
+    (("--config", '{"set": {"cantor": {"depth": true, "ratio": 0.25}}}', "points", "--n", "3"),
+     "depth must be a nonnegative integer"),
+    (("itau", "--points-file", '{"points": "0123", "tau": 0.5}'), _INSTANCE),
+    (("itau", "--points-file", '{"points": [true, false, 0.5], "tau": 0.5}'), _INSTANCE),
+    (("itau", "--points-file", '{"points": [0, 1, 2], "tau": "0.5"}'), _INSTANCE),
 ])
-def test_bad_seed_huge_set_and_audit_tau_are_usage_errors(capsys, argv, message):
+def test_bad_seed_huge_set_and_audit_tau_are_usage_errors(tmp_path, capsys, argv, message):
+    # an argument that is a JSON object goes in as the path of a file holding it
+    path = tmp_path / "in.json"
+    for arg in argv:
+        if arg.startswith("{"):
+            path.write_text(arg)
+    argv = [str(path) if arg.startswith("{") else arg for arg in argv]
     assert run(capsys, *argv) == (2, "", "error: %s\n" % message)
 
 

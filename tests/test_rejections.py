@@ -4,8 +4,11 @@ and the CLI exits 2 with one error line."""
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lejabounds import (CompactSet, InterpolationOperator, PointSequence, ValidationError,
+from lejabounds import (CompactSet, InterpolationOperator, PointSequence, SwitchingInstance,
+                        ValidationError,
                         basis_vs_switching, brute_force_log_min, cantor_approx,
                         from_spec, green_interval_analytic, ineq1, ineq3,
                         lebesgue_bound, leja_sequence, make_union, optimize_bound,
@@ -76,6 +79,14 @@ LIBRARY = {
     "worst-case-fractional-q": (lambda m: worst_case_instance(0.5, 2.5), "q must be an integer"),
     "basis-vs-switching-fractional-k": (
         lambda m: basis_vs_switching(leja_sequence(_UNIT, 5), 1.5, 0.3), "k must be an integer"),
+    # a boolean is not an integer
+    "cantor-bool-depth": (lambda m: cantor_approx(True, 1.0 / 3.0), "nonnegative integer"),
+    "worst-case-bool-q": (lambda m: worst_case_instance(0.5, True), "q must be an integer"),
+    "basis-vs-switching-bool-k": (
+        lambda m: basis_vs_switching(leja_sequence(_UNIT, 5), True, 0.3), "k must be an integer"),
+    "from_sequence-bool-n": (
+        lambda m: InterpolationOperator.from_sequence(leja_sequence(_UNIT, 5), True),
+        "prefix length must be an integer"),
     # a point sequence read from JSON is checked as SwitchingInstance.from_json checks
     "sequence-json-string-point": (lambda m: _sequence_json(points=[0.0, "a"]),
                                    "numeric 'points'"),
@@ -177,3 +188,33 @@ def test_config_null_keeps_the_default(tmp_path, capsys):
     out = capsys.readouterr().out
     assert main(["points", "--n", "4"]) == 0
     assert capsys.readouterr().out == out
+
+
+# JSON values: null, booleans, integers (one past the largest double), floats
+# with nan and inf, strings, and lists and objects of these
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10 ** 400) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=4),
+    max_leaves=12)
+_SEQUENCE = {"points": [0.0, 1.0], "tau": 0.9, "grid_density": 10.0, "rng_seed": 0,
+             "x0_policy": "right", "achieved_ratios": [1.0]}
+
+
+@given(_JSON, _JSON)
+@settings(max_examples=300, deadline=None)
+def test_json_readers_return_a_value_or_raise_validation_error(a, b):
+    calls = [
+        (from_spec, a), (from_spec, {"intervals": a}), (from_spec, {"intervals": [[0, 1], a]}),
+        (from_spec, {"cantor": a}), (from_spec, {"cantor": {"depth": a, "ratio": b}}),
+        (from_spec, {"cantor": {"depth": 2, "ratio": a}}),
+        (SwitchingInstance.from_json, a), (SwitchingInstance.from_json, {"points": a, "tau": b}),
+        (SwitchingInstance.from_json, {"points": [0, 1, 2], "tau": a}),
+        (PointSequence.from_json, a),
+    ] + [(PointSequence.from_json, {**_SEQUENCE, key: a}) for key in _SEQUENCE]
+    for read, obj in calls:
+        try:
+            read(obj)
+        except ValidationError:
+            pass
