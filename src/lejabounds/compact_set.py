@@ -48,6 +48,18 @@ def _check_int(value, message: str) -> int:
     raise ValidationError(message)
 
 
+def _check_points(points, tau: float, least: int) -> None:
+    """At least `least` finite, pairwise distinct points and a tau in (0, 1]."""
+    if len(points) < least:
+        raise ValidationError("need at least " + " and ".join(f"x_{i}" for i in range(least)))
+    _check_tau(tau)
+    pts = np.sort(np.asarray(points, dtype=float))
+    if not np.all(np.isfinite(pts)):
+        raise ValidationError("points must be finite")
+    if np.any(pts[1:] == pts[:-1]):
+        raise ValidationError("points must be pairwise distinct")
+
+
 def _floats(values, message: str) -> tuple:
     """A JSON array of numbers (list, tuple or array) as a tuple of floats, else
     ValidationError(message). A string or a boolean is not a number here."""

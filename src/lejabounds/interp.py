@@ -36,6 +36,14 @@ _BLOCK_ENTRIES = 1 << 20
 _TINY = np.finfo(float).tiny
 
 
+def _check_prefix(n, count: int) -> int:
+    """A prefix length in [1, count], as an int."""
+    n = _check_int(n, "prefix length must be an integer")
+    if not 1 <= n <= count:
+        raise ValidationError(f"prefix length {n} not in [1, {count}]")
+    return n
+
+
 class InterpolationOperator:
     """Interpolation in Lagrange form on a fixed node set."""
 
@@ -56,13 +64,9 @@ class InterpolationOperator:
 
     @classmethod
     def from_sequence(cls, seq, n: int = None) -> "InterpolationOperator":
-        pts = seq.points
-        if n is not None:
-            n = _check_int(n, "prefix length must be an integer")
-            if not 1 <= n <= len(pts):
-                raise ValidationError(f"prefix length {n} not in [1, {len(pts)}]")
+        n = len(seq.points) if n is None else _check_prefix(n, len(seq.points))
         # the prefix alone: a view would keep the whole sequence's array alive
-        return cls(np.array(pts[:n], dtype=float))
+        return cls(np.array(seq.points[:n], dtype=float))
 
     @property
     def n(self) -> int:
@@ -138,13 +142,9 @@ class InterpolationOperator:
         `interp.lebesgue` span of `bench/spans.py`, sees one scan per range."""
         if prefixes is None:
             return lebesgue_constants([self], K)[0]
-        ops = []
-        for n in prefixes:
-            n = _check_int(n, "prefix length must be an integer")
-            if not 1 <= n <= self.n:
-                raise ValidationError(f"prefix length {n} not in [1, {self.n}]")
-            ops.append(self if n == self.n else InterpolationOperator(self.nodes[:n]))
-        return lebesgue_constants(ops, K)
+        ns = [_check_prefix(n, self.n) for n in prefixes]
+        return lebesgue_constants([self if n == self.n else InterpolationOperator(self.nodes[:n])
+                                   for n in ns], K)
 
 
 @dataclass

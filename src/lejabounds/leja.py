@@ -25,16 +25,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import _check_args
-from .compact_set import CompactSet, ValidationError, _check_int, _check_tau, _floats
+from .compact_set import (CompactSet, ValidationError, _check_int, _check_points, _check_tau,
+                          _floats)
 from .green import GreenModel
 
 DEFAULT_GRID_DENSITY = 10_000.0
 _NEWTON_ITERS = 100   # safety cap; a step takes a median of 3-4 slope evaluations, at most 5
+_SEED_MESSAGE = "rng_seed must be a nonnegative integer"
 
 
 @dataclass(frozen=True)
 class PointSequence:
-    """A generated sequence plus the provenance needed to audit it."""
+    """A generated sequence plus the provenance needed to audit it; it checks itself."""
 
     points: tuple
     tau: float
@@ -43,22 +45,31 @@ class PointSequence:
     x0_policy: str
     achieved_ratios: tuple      # ratios[k-1]: step-k product / refined step max
 
+    def __post_init__(self):
+        _check_points(self.points, self.tau, 1)
+        if not 0.0 < self.grid_density < math.inf:
+            raise ValidationError("grid_density must be positive and finite")
+        if self.rng_seed is not None and _check_int(self.rng_seed, _SEED_MESSAGE) < 0:
+            raise ValidationError(_SEED_MESSAGE)
+        if not all(map(math.isfinite, self.achieved_ratios)):
+            raise ValidationError("achieved_ratios must be a list of finite numbers")
+        policy = self.x0_policy
+        try:
+            given = policy.startswith("given:") and math.isfinite(float(policy[6:]))
+        except (AttributeError, TypeError, ValueError):
+            given = False
+        if not (given or policy in ("right", "left")):
+            raise ValidationError("x0_policy must be 'right', 'left' or 'given:<number>'")
+
     def __len__(self) -> int:
         return len(self.points)
 
     def min_separation(self) -> float:
-        pts = np.sort(np.asarray(self.points))
-        return float(np.diff(pts).min()) if len(pts) > 1 else math.inf
+        return float(np.diff(np.sort(self.points)).min(initial=math.inf))
 
     def to_json(self) -> dict:
-        return {
-            "points": list(map(float, self.points)),
-            "tau": self.tau,
-            "grid_density": self.grid_density,
-            "rng_seed": self.rng_seed,
-            "x0_policy": self.x0_policy,
-            "achieved_ratios": list(map(float, self.achieved_ratios)),
-        }
+        return {**vars(self), "points": list(map(float, self.points)),
+                "achieved_ratios": list(map(float, self.achieved_ratios))}
 
     @classmethod
     def from_json(cls, obj: dict) -> "PointSequence":
@@ -72,44 +83,26 @@ class PointSequence:
             policy = obj.get("x0_policy", "right")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"{message} ({exc!r})") from exc
-        points = _floats(points, message)
         tau, grid_density = _floats((tau, grid_density), message)
-        _check_tau(tau)
-        if not 0.0 < grid_density < math.inf:
-            raise ValidationError("grid_density must be positive and finite")
-        seed_message = "rng_seed must be a nonnegative integer"
-        if seed is not None and _check_int(seed, seed_message) < 0:
-            raise ValidationError(seed_message)
-        ratios = _floats(ratios, "achieved_ratios must be a list of finite numbers")
-        if not all(map(math.isfinite, ratios)):
-            raise ValidationError("achieved_ratios must be a list of finite numbers")
-        if not (policy in ("right", "left") or isinstance(policy, str)
-                and policy.startswith("given:") and _is_finite_number(policy[6:])):
-            raise ValidationError("x0_policy must be 'right', 'left' or 'given:<number>'")
-        return cls(points=points, tau=tau, grid_density=grid_density,
-                   rng_seed=None if seed is None else int(seed), x0_policy=policy,
-                   achieved_ratios=ratios)
+        return cls(points=_floats(points, message), tau=tau, grid_density=grid_density,
+                   rng_seed=None if seed is None else _check_int(seed, _SEED_MESSAGE),
+                   x0_policy=policy, achieved_ratios=_floats(
+                       ratios, "achieved_ratios must be a list of finite numbers"))
 
 
-def _is_finite_number(text: str) -> bool:
-    try:
-        return math.isfinite(float(text))
-    except ValueError:
-        return False
+def _outside(K: CompactSet, points) -> np.ndarray:
+    """Indices of the points farther than 1e-12 from K (or nan): x0's rule and the audit's."""
+    return np.flatnonzero(~(np.atleast_1d(K.dist_to(points)) <= 1e-12))
 
 
 def _resolve_x0(K: CompactSet, x0) -> tuple[float, str]:
-    if isinstance(x0, str):
-        if x0 == "right":
-            return K.intervals[-1][1], "right"
-        if x0 == "left":
-            return K.intervals[0][0], "left"
-        try:
-            x0 = float(x0)
-        except ValueError:
-            raise ValidationError("x0 must be 'left', 'right', or a number in K")
-    x0 = float(x0)
-    if not K.contains(x0, tol=1e-12):
+    if isinstance(x0, str) and x0 in ("right", "left"):
+        return (K.hi if x0 == "right" else K.lo), x0
+    try:
+        x0 = float(x0)
+    except ValueError:
+        raise ValidationError("x0 must be 'left', 'right', or a number in K")
+    if len(_outside(K, x0)):
         raise ValidationError(f"x0 = {x0} lies outside the set")
     return x0, f"given:{x0!r}"
 
@@ -233,11 +226,14 @@ def verify_quasi_leja(seq: PointSequence, K: CompactSet, tau: float = None) -> A
 
     Recomputes every step's refined maximum on the audit grid and compares
     each chosen point's product against it: ok iff every ratio is at least
-    tau * (1 - 1e-6), tau defaulting to the sequence's own.
+    tau * (1 - 1e-6), tau defaulting to the sequence's own. A point outside K raises.
     """
     tau = seq.tau if tau is None else float(tau)
     _check_tau(tau)
     pts = np.asarray(seq.points)
+    out = _outside(K, pts)
+    if len(out):
+        raise ValidationError(f"x_{out[0]} = {float(pts[out[0]])} lies outside the set")
 
     def own_next(cum, arr, x_star, log_max):
         x = pts[len(arr)]
@@ -264,7 +260,6 @@ class SeparationReport:
 def _floors(model: GreenModel, tau: float, n: int, deltas: list) -> list:
     """tau * delta * exp(-n G(delta)) at every delta of the list, with G on
     the whole list in one call."""
-    n = _check_args(n, tau)
     gs = np.atleast_1d(model.neighborhood_max(*deltas))
     return [tau * d * math.exp(-n * g) for d, g in zip(deltas, gs)]
 
@@ -272,7 +267,7 @@ def _floors(model: GreenModel, tau: float, n: int, deltas: list) -> list:
 def separation_floor(model: GreenModel, tau: float, n: int, delta: float) -> float:
     """Lower bound tau * delta * exp(-n G(delta)) on the pairwise distance
     of any n-point tau-quasi-Leja sequence."""
-    return _floors(model, tau, n, [delta])[0]
+    return _floors(model, tau, _check_args(n, tau), [delta])[0]
 
 
 def check_separation(seq: PointSequence, model: GreenModel) -> SeparationReport:

@@ -42,21 +42,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import _exp, _log_spread, switching_constant
-from .compact_set import ValidationError, _check_int, _check_tau, _floats
+from .compact_set import ValidationError, _check_int, _check_points, _check_tau, _floats
+from .leja import PointSequence
 
 _DP_ROWS = 64     # starts per block of optimal_switching's log table
-
-
-def _check_chain(pts: np.ndarray, tau: float) -> None:
-    """The preconditions of a switching instance, on its points as an array."""
-    if len(pts) < 2:
-        raise ValidationError("need at least x_0 and x_1")
-    _check_tau(tau)
-    if not np.all(np.isfinite(pts)):
-        raise ValidationError("points must be finite")
-    s = np.sort(pts)
-    if np.any(s[1:] == s[:-1]):
-        raise ValidationError("points must be pairwise distinct")
 
 
 @dataclass(frozen=True)
@@ -65,7 +54,7 @@ class SwitchingInstance:
     tau: float
 
     def __post_init__(self):
-        _check_chain(np.asarray(self.points, dtype=float), self.tau)
+        _check_points(self.points, self.tau, 2)
 
     @property
     def q(self) -> int:
@@ -352,25 +341,29 @@ class BasisSwitchReport:
     log_switching: float
 
 
-def basis_vs_switching(seq, k: int, x: float) -> BasisSwitchReport:
+def basis_vs_switching(seq: PointSequence, k: int, x: float) -> BasisSwitchReport:
     """|L_k(x)| on the first n sequence points against the switching
     functional of (x_k, ..., x_{n-1}, x) at the sequence's tau; the bound
     direction holds when the sequence is tau-quasi-Leja (ok allows a
-    relative excess of 1e-9). Skips (ok vacuously) when x hits a node."""
+    relative excess of 1e-9). Skips (ok vacuously) when x hits a node. The
+    sequence checked itself, so a finite x off its nodes makes a valid chain."""
+    if not isinstance(seq, PointSequence):
+        raise ValidationError("seq must be a PointSequence")
     pts = np.asarray(seq.points, dtype=float)
-    n = len(pts)
     k = _check_int(k, "k must be an integer")
-    if not 0 <= k < n:
+    if not 0 <= k < len(pts):
         raise ValidationError("k out of range")
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValidationError("x must be finite")
     if np.any(pts == x):
         return BasisSwitchReport(ok=True, skipped=True, k=k, x=x,
                                  log_basis=math.nan, log_switching=math.nan)
-    chain = np.append(pts[k:], float(x))
-    _check_chain(chain, seq.tau)
+    chain = np.append(pts[k:], x)
     others = np.concatenate((pts[:k], pts[k + 1:]))
     log_basis = math.fsum((np.log(np.abs(x - others))
                            - np.log(np.abs(pts[k] - others))).tolist())
     res = _optimal_chain(chain, seq.tau)
     ok = log_basis <= res.log_value + math.log1p(1e-9)
-    return BasisSwitchReport(ok=bool(ok), skipped=False, k=k, x=float(x),
+    return BasisSwitchReport(ok=bool(ok), skipped=False, k=k, x=x,
                              log_basis=log_basis, log_switching=res.log_value)

@@ -128,6 +128,13 @@ def test_lebesgue_range_step(capsys):
             run(capsys, "lebesgue", "--n-range", "2:9:4")[1].splitlines()[1:]] == ["2", "6"]
 
 
+@pytest.mark.parametrize("command, same", [("lebesgue", ("--n", "7")),
+                                           ("bound", ("--n-range", "7:7"))])
+def test_single_number_range_is_that_one_n(capsys, command, same):
+    # --n-range N reads as N:N
+    assert run(capsys, command, "--n-range", "7") == run(capsys, command, *same)
+
+
 @pytest.mark.parametrize("spec", ["2:10:0", "2:10:-1", "2:10:1.5", "2:10:", "2:10:2:1"])
 def test_bad_range_step_is_a_usage_error(capsys, spec):
     for command in ("lebesgue", "bound"):

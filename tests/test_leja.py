@@ -217,6 +217,31 @@ def test_audit_rejects_tampered_sequence(K_unit):
     assert not rep.ok
 
 
+def _points(*points):
+    return PointSequence(points=points, tau=1.0, grid_density=100.0, rng_seed=None,
+                         x0_policy="right", achieved_ratios=())
+
+
+def test_audit_rejects_a_point_outside_the_set(K_unit):
+    # ok = True when the audit did not read the set: 3.0 beats every step maximum on K
+    with pytest.raises(ValidationError, match=r"x_2 = 3\.0 lies outside the set"):
+        verify_quasi_leja(_points(1.0, -1.0, 3.0), K_unit)
+
+
+@pytest.mark.parametrize("x, inside", [(1.0 + 1e-13, True), (-1.0 - 1e-13, True),
+                                       (1.0 + 1e-11, False), (-3.0, False)])
+def test_audit_and_x0_share_the_set_rule(K_unit, x, inside):
+    # a point the audit reads and x0 lie in K up to the same 1e-12
+    if inside:
+        assert leja._resolve_x0(K_unit, x)[0] == x
+        verify_quasi_leja(_points(0.5, x), K_unit)
+        return
+    with pytest.raises(ValidationError, match=f"x0 = {x} lies outside the set"):
+        leja._resolve_x0(K_unit, x)
+    with pytest.raises(ValidationError, match=f"x_1 = {x} lies outside the set"):
+        verify_quasi_leja(_points(0.5, x), K_unit)
+
+
 @pytest.mark.parametrize("tau", [0.0, -0.5, 1.5, math.nan])
 def test_audit_rejects_tau_outside_unit_interval(K_unit, tau):
     seq = quasi_leja_sequence(K_unit, 10, 0.9, rng_seed=0)

@@ -123,7 +123,45 @@ LIBRARY = {
                                      "x0_policy must be"),
     "sequence-json-given-nan-policy": (lambda m: _sequence_json(x0_policy="given:nan"),
                                        "x0_policy must be"),
+    "sequence-json-given-abc-policy": (lambda m: _sequence_json(x0_policy="given:abc"),
+                                       "x0_policy must be"),
+    # a point sequence checks its points when it is made, whether built directly or
+    # read from JSON: every consumer then gets at least one finite, distinct point
+    "sequence-empty": (lambda m: _sequence(()), "need at least x_0$"),
+    "sequence-duplicate-point": (lambda m: _sequence((0.5, 0.5)), "pairwise distinct"),
+    "sequence-nan-point": (lambda m: _sequence((0.0, math.nan)), "points must be finite"),
+    "sequence-inf-point": (lambda m: _sequence((0.0, math.inf)), "points must be finite"),
+    "sequence-minus-inf-point": (lambda m: _sequence((-math.inf, 0.0)), "points must be finite"),
+    "sequence-json-empty": (lambda m: _sequence_json(points=[]), "need at least x_0$"),
+    "sequence-json-duplicate-point": (lambda m: _sequence_json(points=[0.5, 0.5]),
+                                      "pairwise distinct"),
+    "sequence-json-nan-point": (lambda m: _sequence_json(points=[0.0, math.nan]),
+                                "points must be finite"),
+    "sequence-json-inf-point": (lambda m: _sequence_json(points=[0.0, math.inf]),
+                                "points must be finite"),
+    "sequence-json-minus-inf-point": (lambda m: _sequence_json(points=[-math.inf, 0.0]),
+                                      "points must be finite"),
+    "switching-instance-one-point": (lambda m: SwitchingInstance((0.0,), 0.9),
+                                     "need at least x_0 and x_1"),
+    "basis-vs-switching-not-a-sequence": (
+        lambda m: basis_vs_switching(SwitchingInstance((0.0, 1.0), 0.9), 0, 0.3),
+        "seq must be a PointSequence"),
+    "basis-vs-switching-nan-x": (
+        lambda m: basis_vs_switching(leja_sequence(_UNIT, 5), 1, math.nan), "x must be finite"),
+    # from_sequence and lebesgue_constant read a prefix length by one rule
+    "from_sequence-prefix-0": (
+        lambda m: InterpolationOperator.from_sequence(leja_sequence(_UNIT, 5), 0),
+        r"prefix length 0 not in \[1, 5\]"),
+    "lebesgue_constant-prefix-4": (lambda m: _OP3.lebesgue_constant(_UNIT, [2, 4]),
+                                   r"prefix length 4 not in \[1, 3\]"),
+    "lebesgue_constant-fractional-prefix": (lambda m: _OP3.lebesgue_constant(_UNIT, [1.5]),
+                                            "prefix length must be an integer"),
 }
+
+
+def _sequence(points):
+    return PointSequence(points=points, tau=1.0, grid_density=10.0, rng_seed=None,
+                         x0_policy="right", achieved_ratios=())
 
 
 def _sequence_json(drop=None, **fields):

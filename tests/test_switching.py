@@ -397,10 +397,11 @@ def test_basis_vs_switching_bitwise_equals_public_path():
     ((0.0, 1.0, 2.0, 3.0), 1.5, "tau"),
 ])
 def test_basis_vs_switching_checks_the_suffix(points, tau, message):
-    seq = PointSequence(points=points, tau=tau, grid_density=1.0, rng_seed=None,
-                        x0_policy="right", achieved_ratios=())
+    # the sequence and the instance share one check: a sequence that would make
+    # an invalid chain is refused when it is made, before basis_vs_switching
     with pytest.raises(ValidationError, match=message):
-        basis_vs_switching(seq, 1, 5.0)
+        PointSequence(points=points, tau=tau, grid_density=1.0, rng_seed=None,
+                      x0_policy="right", achieved_ratios=())
     with pytest.raises(ValidationError, match=message):
         SwitchingInstance(points[1:] + (5.0,), tau)
 
