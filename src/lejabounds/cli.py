@@ -352,7 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
     seq.add_argument("--tau", type=float, default=1.0,
                      help="quasi admissibility ratio; 1 means exact greedy")
     seq.add_argument("--seed", type=int, default=0)
-    seq.add_argument("--grid-density", type=float, default=DEFAULT_GRID_DENSITY)
+    seq.add_argument("--grid-density", type=float, default=DEFAULT_GRID_DENSITY,
+                     help="grid points per unit length from which --tau < 1 draws; exact "
+                          "steps (tau = 1) and the audit use no grid")
     seq.add_argument("--x0", default="right")
 
     p = argparse.ArgumentParser(

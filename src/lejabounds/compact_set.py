@@ -19,6 +19,8 @@ import numpy as np
 
 MAX_COMPONENTS = 1 << 14
 MAX_GRID_POINTS = 5_000_000
+# the smallest gap between distinct points: closer ones count as one point
+_TINY = np.finfo(float).tiny
 
 
 class ValidationError(ValueError):
@@ -49,15 +51,23 @@ def _check_int(value, message: str) -> int:
 
 
 def _check_points(points, tau: float, least: int) -> None:
-    """At least `least` finite, pairwise distinct points and a tau in (0, 1]."""
+    """At least `least` finite, pairwise distinct points (at least _TINY
+    apart, as the interpolation operator needs them) and a tau in (0, 1]."""
     if len(points) < least:
         raise ValidationError("need at least " + " and ".join(f"x_{i}" for i in range(least)))
     _check_tau(tau)
     pts = np.sort(np.asarray(points, dtype=float))
     if not np.all(np.isfinite(pts)):
         raise ValidationError("points must be finite")
-    if np.any(pts[1:] == pts[:-1]):
-        raise ValidationError("points must be pairwise distinct")
+    if np.any(np.diff(pts) < _TINY):
+        raise ValidationError("points must be pairwise distinct, at least the smallest normal "
+                              "float apart")
+
+
+def _check_density(density: float) -> None:
+    """A grid density is positive and finite."""
+    if not 0 < density < math.inf:
+        raise ValidationError("density must be positive and finite")
 
 
 def _floats(values, message: str) -> tuple:
@@ -150,8 +160,7 @@ class CompactSet:
         Each component contributes ceil(length * density) + 1 equispaced
         points (at least 2), endpoints always included.
         """
-        if not 0 < density < math.inf:
-            raise ValidationError("density must be positive and finite")
+        _check_density(density)
         # counts stay floats until checked: a huge length * density is inf
         counts = [max(2.0, np.ceil((hi - lo) * density) + 1.0) for lo, hi in self.intervals]
         total = sum(counts)

@@ -29,11 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._search import newton_max
-from .compact_set import CompactSet, ValidationError, _check_int
+from .compact_set import CompactSet, ValidationError, _TINY, _check_int
 
 # point x node entries of one row block
 _BLOCK_ENTRIES = 1 << 20
-_TINY = np.finfo(float).tiny
 
 
 def _check_prefix(n, count: int) -> int:

@@ -1,19 +1,25 @@
 """Leja and tau-quasi-Leja point sequences on interval unions.
 
-Exact mode picks, at every step, the point of K maximizing the distance
-product to the points already chosen: the grid argmax picks a piece of K
-(its component between the nearest chosen points), and the step is the
-maximum of the product on that piece, a free end or the one critical
-point found by Newton steps. Quasi mode with relaxation tau picks
-uniformly at random (seeded) among all grid points whose product reaches
-tau times the refined step maximum, falling back to the refined argmax
-when no grid point qualifies. Exact mode (tau = 1) is that fallback at
-every step. The audit (`verify_quasi_leja`) runs the same greedy loop, with
-the sequence's own points as the choices.
+Every step starts from the maximum P* over K of the log distance product
+P(x) = sum_j log|x - x_j| to the points already chosen, found without a
+grid (the per-gap candidates of Baglama, Calvetti & Reichel, "Fast Leja
+points", ETNA 7, 1998). The chosen points cut K into pieces, on each of
+which P is strictly concave. Each piece keeps a candidate c with P(c) and
+P'(c), which every new point updates in one vectorised pass, and a
+curvature floor that turns them into an upper bound U of P on the piece.
+A step refines the piece of the largest U (a free-end check, then Newton
+steps from c) until that piece is a refined one: its value is P*, and
+every other piece is certified below it by its U. The new point then
+splits its piece, and the two halves get candidates at their midpoints.
 
-Products are accumulated in log space: a running vector of
-sum_j log|grid - x_j| is updated in place with one term per step, so an
-n-point sequence costs O(n * grid) overall.
+Exact mode (tau = 1) takes the refined point at every step and builds no
+grid. Quasi mode with relaxation tau < 1 picks uniformly at random
+(seeded) among the grid points whose product reaches tau * exp(P*),
+falling back to the refined point when no grid point qualifies; its grid
+products are a running vector of sum_j log|grid - x_j|, updated in place
+with one term per step. The audit (`verify_quasi_leja`) runs the same
+greedy loop with the sequence's own points as the choices, so it measures
+every step against the same certified maximum, also without a grid.
 """
 
 from __future__ import annotations
@@ -25,12 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import _check_args
-from .compact_set import (CompactSet, ValidationError, _check_int, _check_points, _check_tau,
-                          _floats)
+from .compact_set import (CompactSet, ValidationError, _check_density, _check_int, _check_points,
+                          _check_tau, _floats)
 from .green import GreenModel
 
 DEFAULT_GRID_DENSITY = 10_000.0
-_NEWTON_ITERS = 100   # safety cap; a step takes a median of 3-4 slope evaluations, at most 5
+_NEWTON_ITERS = 100   # safety cap; a refined piece takes a median of 4 slope evaluations
 _SEED_MESSAGE = "rng_seed must be a nonnegative integer"
 
 
@@ -107,68 +113,155 @@ def _resolve_x0(K: CompactSet, x0) -> tuple[float, str]:
     return x0, f"given:{x0!r}"
 
 
-def _slope(x: float, pts_arr) -> tuple[float, float]:
-    """P'(x) = sum 1/(x - x_j) and -P''(x) = sum 1/(x - x_j)^2 of the log
-    product P(x) = sum_j log|x - x_j|."""
-    r = 1.0 / (x - pts_arr)
-    return float(r.sum()), float(r @ r)
+def _slope(x: float, w: float, pts_arr) -> tuple[float, float, np.ndarray]:
+    """w P'(x) and -w^2 P''(x) of the log product P(x) = sum_j log|x - x_j|,
+    scaled by a piece width w so that neither overflows nor underflows on
+    sets near the ends of the float range, and the differences x - x_j."""
+    d = x - pts_arr
+    r = w / d
+    return float(r.sum()), float(r @ r), d
 
 
-def _refine_step(K: CompactSet, grid, cum, pts_arr, idx: int):
-    """Refine the grid argmax grid[idx] of the running log product P to
-    the maximum of P on its piece.
+def _value(x, w, pts_arr) -> tuple[np.ndarray, np.ndarray]:
+    """P and w P' at the points of the 1-d array x, widths w, in one
+    (len(x), k) pass."""
+    d = x[:, None] - pts_arr
+    return np.log(np.abs(d)).sum(axis=1), (w[:, None] / d).sum(axis=1)
 
-    The piece is the component of the argmax, clipped to the nearest chosen
-    point on each side. P is strictly concave there, so its maximum is a
-    free component end whose P' points out of the piece (checked first), or
-    else the root of P', found by Newton steps from the argmax: a step of
-    at most 4 ulps has converged, and a step that leaves the bracket
-    bisects it. P is evaluated once, at the result, which replaces the
-    argmax when its P is strictly higher. Returns floats (x, P(x)).
+
+# rows of the piece table: the ends lo < hi, flags (1.0) for ends that are
+# chosen points, the width w; the candidate c, (lo - c)/w and (hi - c)/w;
+# kappa / 2 and 1 / kappa for the piece's curvature floor mu = kappa / w^2;
+# P(c) and w P'(c)
+_LO, _HI, _LO_PT, _HI_PT, _W, _C, _L, _R, _HALF_KAPPA, _INV_KAPPA, _P, _DP = range(12)
+
+
+class _Pieces:
+    """The pieces of K cut at the chosen points, sorted, one column each of
+    a table preallocated for every piece an n-point run can make.
+
+    On a piece P is strictly concave, and P'' = -sum_j 1/(y - x_j)^2 <= -mu
+    with mu = 8/w^2 when both ends are chosen points (the two nearest
+    poles), 1/w^2 when one is, and 0 when neither is. So on the piece P is
+    at most U = max over t in [lo - c, hi - c] of P(c) + P'(c) t - mu t^2 / 2,
+    which the table keeps in units of w. `step_max` refines the piece of
+    the largest U until that piece is a refined one, whose value is then
+    the maximum of P over K; every other piece lies below it by its U.
     """
-    xg, fg = float(grid[idx]), float(cum[idx])
-    left = float(np.max(pts_arr, initial=-math.inf, where=pts_arr < xg))
-    right = float(np.min(pts_arr, initial=math.inf, where=pts_arr > xg))
-    c_lo, c_hi = K.component_of(xg)
-    lo, hi = max(c_lo, left), min(c_hi, right)
-    if lo != left and _slope(lo, pts_arr)[0] <= 0.0:
-        x = lo
-    elif hi != right and _slope(hi, pts_arr)[0] >= 0.0:
-        x = hi
-    else:
-        a, b = lo, hi
-        x = xg if a < xg < b else 0.5 * (a + b)
-        ulps = 4.0 * math.ulp(max(abs(a), abs(b)))
-        for _ in range(_NEWTON_ITERS):
-            slope, curv = _slope(x, pts_arr)
-            a, b = (x, b) if slope > 0.0 else (a, x)
-            step = x + slope / curv
-            if abs(step - x) <= ulps or b - a <= ulps:
-                x = min(max(step, a), b)
-                break
-            x = step if a < step < b else 0.5 * (a + b)
-    fx = float(np.sum(np.log(np.abs(x - pts_arr))))
-    return (x, fx) if fx > fg else (xg, fg)
+
+    def __init__(self, K: CompactSet, n: int, x0: float):
+        m = K.n_components
+        self.t = np.zeros((12, m + n))      # a point adds at most one piece
+        self.m = m
+        self.t[_LO:_HI + 1, :m] = np.transpose(K.intervals)
+        self._reset(0, m, np.empty(0))
+        self.add(np.array([x0]))
+
+    def _reset(self, j: int, count: int, pts_arr) -> None:
+        """Candidates at the midpoints of the count pieces from piece j."""
+        t = self.t
+        for q in range(j, j + count):
+            lo, hi, lo_pt, hi_pt = t[:_W, q].tolist()
+            w = hi - lo
+            c = lo + w / 2
+            kappa = (0.0, 1.0, 8.0)[int(lo_pt + hi_pt)]
+            t[_W:_INV_KAPPA + 1, q] = (w, c, (lo - c) / w, (hi - c) / w, kappa / 2,
+                                       1.0 / kappa if kappa else math.inf)
+        cols = slice(j, j + count)
+        t[_P, cols], t[_DP, cols] = _value(t[_C, cols], t[_W, cols], pts_arr)
+
+    def add(self, pts_arr) -> None:
+        """Take in the newest point x = pts_arr[-1]: one term on every
+        candidate, then a split of the piece that holds it, whose new pieces
+        get candidates at their midpoints. A point outside K cuts no piece."""
+        x, m, t = pts_arr[-1], self.m, self.t
+        d = t[_C, :m] - x
+        t[_P, :m] += np.log(np.abs(d))
+        t[_DP, :m] += np.divide(t[_W, :m], d, out=d)
+        j = int(t[_LO, :m].searchsorted(x, "right")) - 1
+        if j < 0 or x > t[_HI, j]:
+            return
+        if x == t[_LO, j]:
+            t[_LO_PT, j] = 1.0
+        elif x == t[_HI, j]:
+            t[_HI_PT, j] = 1.0
+        else:
+            t[:, j + 1:m + 1] = t[:, j:m]
+            t[_HI, j] = t[_LO, j + 1] = x
+            t[_HI_PT, j] = t[_LO_PT, j + 1] = 1.0
+            self.m += 1
+        self._reset(j, 1 + self.m - m, pts_arr)
+
+    def _refine(self, i: int, pts_arr) -> None:
+        """Move piece i's candidate c to the maximum of P on the piece. It
+        lies on the side of c that P'(c) points to: at c when P'(c) = 0, at
+        the end there if that end is free and P' keeps its sign up to it,
+        or else at the root of P' between c and that end. Newton steps find
+        the root from the free end (its check gave P' and P'') or from c,
+        until a step or the bracket is at most 4 ulps: the last point
+        evaluated is the maximum. A step that leaves the bracket bisects it."""
+        t = self.t
+        lo, hi, lo_pt, hi_pt, w, x, *_, dp = t[:, i].tolist()
+        a, b, end, end_pt = (x, hi, hi, hi_pt) if dp > 0.0 else (lo, x, lo, lo_pt)
+        if dp == 0.0 or x == end:
+            return                  # P(c) and P'(c) are current
+        x = x if end_pt else end
+        slope, curv, d = _slope(x, w, pts_arr)
+        if end_pt or slope * dp < 0.0:
+            ulps = 4.0 * math.ulp(max(abs(lo), abs(hi)))
+            for _ in range(_NEWTON_ITERS):
+                a, b = (x, b) if slope > 0.0 else (a, x)
+                step = x + w * slope / curv
+                if abs(step - x) <= ulps or b - a <= ulps:
+                    break
+                x = step if a < step < b else a + (b - a) / 2
+                slope, curv, d = _slope(x, w, pts_arr)
+        t[_C:_R + 1, i] = x, (lo - x) / w, (hi - x) / w
+        t[_P, i], t[_DP, i] = np.log(np.abs(d)).sum(), slope
+
+    def step_max(self, pts_arr) -> tuple[float, float]:
+        """The maximum (x, P(x)) of P over K, by refining pieces in order of
+        their bound U; a tie goes to the piece of smaller abscissa."""
+        *_, c, left, right, half_kappa, inv_kappa, p, dp = self.t[:, :self.m]
+        # the t / w of U: an end when mu = 0, or c when also P'(c) = 0
+        s = np.fmin(np.fmax(dp * inv_kappa, left), right)
+        bound = p + s * (dp - half_kappa * s)
+        refined = set()
+        while (i := int(np.argmax(bound))) not in refined:
+            self._refine(i, pts_arr)
+            bound[i] = p[i]
+            refined.add(i)
+        return float(c[i]), float(p[i])
 
 
-def _greedy(K: CompactSet, grid, x0: float, n: int, choose) -> tuple[list, list]:
+def _greedy(K: CompactSet, x0: float, n: int, choose) -> tuple[list, list]:
     """The greedy loop of generation and audit: n points from x0. Each step
-    refines the argmax of the running log product cum = sum_j log|grid - x_j|
-    to the step maximum P* (`_refine_step`), and choose(cum, pts_arr, x_star,
-    P*) gives the next point and its log product P; cum is updated in place.
-    Returns the points and the step ratios exp(min(P - P*, 0)). One errstate
-    covers the loop, choose included: log 0 = -inf at a chosen point, unwarned."""
+    takes the maximum P* of the log product over K from the piece state,
+    and choose(pts_arr, x_star, P*) gives the next point and its log
+    product P. Returns the points and the step ratios exp(min(P - P*, 0)).
+    One errstate covers the loop, choose included, and leaves unwarned:
+    log 0 = -inf at a chosen point and 1/0 at a candidate the new point
+    lands on (the split replaces both), 0 * inf in U where mu = P'(c) = 0,
+    and distances past the float range on a set that wide, whose step
+    maximum is then not finite and raises."""
     pts, ratios = np.full(n, float(x0)), []
-    term = np.empty_like(grid)
-    with np.errstate(divide="ignore"):
-        cum = np.log(np.abs(grid - x0))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        pieces = _Pieces(K, n, float(x0))
         for k in range(1, n):
-            x_star, log_max = _refine_step(K, grid, cum, pts[:k], int(np.argmax(cum)))
-            x, log_val = choose(cum, pts[:k], x_star, log_max)
+            x_star, log_max = pieces.step_max(pts[:k])
+            if not math.isfinite(log_max):
+                raise ValidationError(f"step {k} has no finite maximum: the set is wider "
+                                      "than the float range or has no float left to choose")
+            x, log_val = choose(pts[:k], x_star, log_max)
             pts[k] = x
             ratios.append(math.exp(min(log_val - log_max, 0.0)))
-            cum += np.log(np.abs(np.subtract(grid, x, out=term), out=term), out=term)
+            pieces.add(pts[:k + 1])
     return pts.tolist(), ratios
+
+
+def _take_max(pts_arr, x_star, log_max):
+    """Exact mode's choice: the step maximum itself."""
+    return x_star, log_max
 
 
 def _generate(K: CompactSet, n: int, tau: float, rng_seed: int,
@@ -176,23 +269,27 @@ def _generate(K: CompactSet, n: int, tau: float, rng_seed: int,
     n = _check_args(n, tau)
     if rng_seed < 0:
         raise ValidationError("seed must be nonnegative")
-    grid = K.grid(grid_density)
-    if n > len(grid):
-        raise ValidationError(f"n = {n} exceeds the {len(grid)}-point grid")
+    _check_density(grid_density)
     x0v, policy = _resolve_x0(K, x0)
-    rng = np.random.default_rng(rng_seed)
+    choose = _take_max
+    if tau < 1.0:
+        grid = K.grid(grid_density)
+        if n > len(grid):
+            raise ValidationError(f"n = {n} exceeds the {len(grid)}-point grid")
+        rng = np.random.default_rng(rng_seed)
+        cum, term = np.zeros_like(grid), np.empty_like(grid)
 
-    def draw(cum, pts_arr, x_star, log_max):
-        if not math.isfinite(log_max):
-            raise ValidationError("no admissible point left on the grid")
-        # no draw at tau = 1, where grid points can tie the maximum exactly
-        elig = np.flatnonzero(cum >= math.log(tau) + log_max) if tau < 1.0 else ()
-        if len(elig) == 0:
-            return x_star, log_max
-        pick = elig[int(rng.integers(len(elig)))]
-        return float(grid[pick]), float(cum[pick])
+        def choose(pts_arr, x_star, log_max):
+            # cum = sum_j log|grid - x_j|, the newest point added first
+            np.add(cum, np.log(np.abs(np.subtract(grid, pts_arr[-1], out=term), out=term),
+                               out=term), out=cum)
+            elig = np.flatnonzero(cum >= math.log(tau) + log_max)
+            if len(elig) == 0:
+                return x_star, log_max
+            pick = elig[int(rng.integers(len(elig)))]
+            return float(grid[pick]), float(cum[pick])
 
-    pts, ratios = _greedy(K, grid, x0v, n, draw)
+    pts, ratios = _greedy(K, x0v, n, choose)
     return PointSequence(points=tuple(pts), tau=tau, grid_density=grid_density,
                          rng_seed=rng_seed, x0_policy=policy,
                          achieved_ratios=tuple(ratios))
@@ -200,7 +297,8 @@ def _generate(K: CompactSet, n: int, tau: float, rng_seed: int,
 
 def leja_sequence(K: CompactSet, n: int, x0="right",
                   grid_density: float = DEFAULT_GRID_DENSITY) -> PointSequence:
-    """Exact-mode Leja points (deterministic)."""
+    """Exact-mode Leja points (deterministic); grid_density is recorded
+    only, since exact mode builds no grid."""
     return _generate(K, n, 1.0, 0, grid_density, x0)
 
 
@@ -222,11 +320,12 @@ class AuditReport:
 
 
 def verify_quasi_leja(seq: PointSequence, K: CompactSet, tau: float = None) -> AuditReport:
-    """Re-audit a sequence on an independent grid of twice its density.
+    """Re-audit a sequence against the certified step maxima.
 
-    Recomputes every step's refined maximum on the audit grid and compares
-    each chosen point's product against it: ok iff every ratio is at least
-    tau * (1 - 1e-6), tau defaulting to the sequence's own. A point outside K raises.
+    Runs the greedy loop of generation with the sequence's own points as
+    the choices, and compares each point's product against the maximum over
+    K of its step: ok iff every ratio is at least tau * (1 - 1e-6), tau
+    defaulting to the sequence's own. A point outside K raises.
     """
     tau = seq.tau if tau is None else float(tau)
     _check_tau(tau)
@@ -235,11 +334,11 @@ def verify_quasi_leja(seq: PointSequence, K: CompactSet, tau: float = None) -> A
     if len(out):
         raise ValidationError(f"x_{out[0]} = {float(pts[out[0]])} lies outside the set")
 
-    def own_next(cum, arr, x_star, log_max):
+    def own_next(arr, x_star, log_max):
         x = pts[len(arr)]
         return x, float(np.sum(np.log(np.abs(x - arr))))
 
-    _, ratios = _greedy(K, K.grid(2.0 * seq.grid_density), pts[0], len(pts), own_next)
+    _, ratios = _greedy(K, pts[0], len(pts), own_next)
     worst = min(ratios, default=1.0)
     return AuditReport(ok=all(r >= tau * (1.0 - 1e-6) for r in ratios), tau=tau,
                        worst_ratio=worst, worst_step=ratios.index(worst) + 1 if ratios else 0,

@@ -337,7 +337,9 @@ _INSTANCE = "a switching instance is a JSON object with numeric 'points' and 'ta
 @pytest.mark.parametrize("argv,message", [
     (("points", "--n", "3", "--tau", "0.5", "--seed", "-1"), "seed must be nonnegative"),
     (("itau", "--seed", "-1"), "seed must be nonnegative"),
-    (("points", "--n", "3", "--set=0,1e308"), "grid of inf points exceeds cap 5000000"),
+    # relaxed mode's grid refuses a set this wide; exact mode builds no grid
+    (("points", "--n", "3", "--tau", "0.5", "--set=0,1e308"),
+     "grid of inf points exceeds cap 5000000"),
     (("verify", "--audit-tau", "nan"), "tau must lie in (0, 1]"),
     (("verify", "--audit-tau", "2"), "tau must lie in (0, 1]"),
     (("bound", "--n", "5", "--deltas", "-1"), "deltas must be at least 1"),
@@ -381,6 +383,17 @@ def test_bad_seed_huge_set_and_audit_tau_are_usage_errors(tmp_path, capsys, argv
             path.write_text(arg)
     argv = [str(path) if arg.startswith("{") else arg for arg in argv]
     assert run(capsys, *argv) == (2, "", "error: %s\n" % message)
+
+
+def test_exact_points_near_the_float_range(capsys):
+    # exact mode builds no grid: a set up to 1e308 runs, and a set wider than
+    # the float range exits 2 with one error line
+    code, out, _ = run(capsys, "points", "--n", "3", "--set=0,1e308")
+    assert code == 0
+    assert [float(r.split(",")[1]) for r in out.splitlines()[1:]] == [1e308, 0.0, 5e307]
+    assert run(capsys, "points", "--n", "3", "--set=-1e308,1e308") == (
+        2, "", "error: step 1 has no finite maximum: the set is wider than the float "
+               "range or has no float left to choose\n")
 
 
 def test_nonfinite_grid_density_is_usage_error(capsys):

@@ -12,8 +12,8 @@ from lejabounds import (CompactSet, InterpolationOperator, PointSequence, Switch
                         basis_vs_switching, brute_force_log_min, cantor_approx,
                         from_spec, green_interval_analytic, ineq1, ineq3,
                         lebesgue_bound, leja_sequence, make_union, optimize_bound,
-                        quasi_lebesgue_bound, separation_floor, spread_log_bound,
-                        worst_case_instance)
+                        quasi_lebesgue_bound, quasi_leja_sequence, separation_floor,
+                        spread_log_bound, worst_case_instance)
 from lejabounds.cli import main
 
 _UNIT = make_union([(-1.0, 1.0)])
@@ -50,7 +50,9 @@ LIBRARY = {
     "basis-index-out-of-range": (lambda m: _OP3.lagrange_basis(3, 0.5), "out of range"),
     "fvals-wrong-shape": (lambda m: _OP3.interpolate([1.0, 2.0], 0.5), "node count"),
     "x0-middle": (lambda m: leja_sequence(_UNIT, 3, x0="middle"), "x0 must be"),
-    "n-beyond-grid": (lambda m: leja_sequence(_UNIT, 50, grid_density=10.0),
+    # relaxed mode draws from a grid; exact mode builds none
+    # (test_leja.test_exact_mode_runs_past_the_grid_size)
+    "n-beyond-grid": (lambda m: quasi_leja_sequence(_UNIT, 50, 0.5, grid_density=10.0),
                       "exceeds the 21-point grid"),
     "brute-force-q-21": (lambda m: brute_force_log_min(worst_case_instance(0.9, 21)),
                          "q <= 20"),
@@ -129,6 +131,9 @@ LIBRARY = {
     # read from JSON: every consumer then gets at least one finite, distinct point
     "sequence-empty": (lambda m: _sequence(()), "need at least x_0$"),
     "sequence-duplicate-point": (lambda m: _sequence((0.5, 0.5)), "pairwise distinct"),
+    # closer than the smallest normal float is one point, as for the interpolation operator
+    "sequence-subnormal-gap": (lambda m: _sequence((0.0, 5e-324)),
+                               "at least the smallest normal float apart"),
     "sequence-nan-point": (lambda m: _sequence((0.0, math.nan)), "points must be finite"),
     "sequence-inf-point": (lambda m: _sequence((0.0, math.inf)), "points must be finite"),
     "sequence-minus-inf-point": (lambda m: _sequence((-math.inf, 0.0)), "points must be finite"),
