@@ -31,8 +31,7 @@ from .green import GreenBuildError, build_green_model, green_interval_analytic
 from .inequalities import (ineq1_log_margin, ineq2_log_margin,
                            ineq2_tightness_scan, ineq3_log_margin, ineq4)
 from .interp import InterpolationOperator
-from .leja import (DEFAULT_GRID_DENSITY, check_separation, quasi_leja_sequence,
-                   verify_quasi_leja)
+from .leja import check_separation, quasi_leja_sequence, verify_quasi_leja
 from .switching import (SwitchingInstance, chain_log_value, brute_force_log_min,
                         check_spread_bound, naive_strategy, optimal_switching,
                         two_track_strategy, worst_case_instance)
@@ -80,8 +79,7 @@ def _build_set(args) -> CompactSet:
 
 def _build_sequence(K: CompactSet, n: int, args):
     """tau = 1 is exact greedy: no step draws, so the seed only shows in --json."""
-    return quasi_leja_sequence(K, n, args.tau, rng_seed=args.seed,
-                               x0=args.x0, grid_density=args.grid_density)
+    return quasi_leja_sequence(K, n, args.tau, rng_seed=args.seed, x0=args.x0)
 
 
 def _lines(lines) -> str:
@@ -228,7 +226,7 @@ def _verify_checks(args):
     _check_tau(args.tau)
     K = _build_set(args)
     seq = quasi_leja_sequence(K, 40, args.tau if args.tau < 1.0 else 0.9, rng_seed=args.seed,
-                              grid_density=args.grid_density, x0=args.x0)
+                              x0=args.x0)
 
     def green_interval():
         K = make_union([(-1.0, 1.0)])
@@ -350,11 +348,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="use a Cantor-style construction of this depth instead of --set")
     seq.add_argument("--cantor-ratio", type=float, default=1.0 / 3.0)
     seq.add_argument("--tau", type=float, default=1.0,
-                     help="quasi admissibility ratio; 1 means exact greedy")
+                     help="quasi admissibility ratio: each point is drawn uniformly from "
+                          "where the product reaches tau times the step maximum; 1 means "
+                          "exact greedy")
     seq.add_argument("--seed", type=int, default=0)
-    seq.add_argument("--grid-density", type=float, default=DEFAULT_GRID_DENSITY,
-                     help="grid points per unit length from which --tau < 1 draws; exact "
-                          "steps (tau = 1) and the audit use no grid")
     seq.add_argument("--x0", default="right")
 
     p = argparse.ArgumentParser(

@@ -64,12 +64,6 @@ def _check_points(points, tau: float, least: int) -> None:
                               "float apart")
 
 
-def _check_density(density: float) -> None:
-    """A grid density is positive and finite."""
-    if not 0 < density < math.inf:
-        raise ValidationError("density must be positive and finite")
-
-
 def _floats(values, message: str) -> tuple:
     """A JSON array of numbers (list, tuple or array) as a tuple of floats, else
     ValidationError(message). A string or a boolean is not a number here."""
@@ -160,7 +154,8 @@ class CompactSet:
         Each component contributes ceil(length * density) + 1 equispaced
         points (at least 2), endpoints always included.
         """
-        _check_density(density)
+        if not 0 < density < math.inf:
+            raise ValidationError("density must be positive and finite")
         # counts stay floats until checked: a huge length * density is inf
         counts = [max(2.0, np.ceil((hi - lo) * density) + 1.0) for lo, hi in self.intervals]
         total = sum(counts)

@@ -12,30 +12,28 @@ steps from c) until that piece is a refined one: its value is P*, and
 every other piece is certified below it by its U. The new point then
 splits its piece, and the two halves get candidates at their midpoints.
 
-Exact mode (tau = 1) takes the refined point at every step and builds no
-grid. Quasi mode with relaxation tau < 1 picks uniformly at random
-(seeded) among the grid points whose product reaches tau * exp(P*),
-falling back to the refined point when no grid point qualifies; its grid
-products are a running vector of sum_j log|grid - x_j|, updated in place
-with one term per step. The audit (`verify_quasi_leja`) runs the same
-greedy loop with the sequence's own points as the choices, so it measures
-every step against the same certified maximum, also without a grid.
+Exact mode (tau = 1) takes the refined point at every step; quasi mode
+(tau < 1) draws uniformly (seeded) from {x in K : P(x) >= P* + log tau},
+by rejection from intervals the same table bounds (`_Pieces.draw`). The
+audit (`verify_quasi_leja`) runs the same loop with the sequence's own
+points as the choices. Nothing builds a grid.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .bounds import _check_args
-from .compact_set import (CompactSet, ValidationError, _check_density, _check_int, _check_points,
-                          _check_tau, _floats)
+from .compact_set import (CompactSet, ValidationError, _check_int, _check_points, _check_tau,
+                          _floats)
 from .green import GreenModel
 
-DEFAULT_GRID_DENSITY = 10_000.0
 _NEWTON_ITERS = 100   # safety cap; a refined piece takes a median of 4 slope evaluations
 _SEED_MESSAGE = "rng_seed must be a nonnegative integer"
 
@@ -46,15 +44,12 @@ class PointSequence:
 
     points: tuple
     tau: float
-    grid_density: float
     rng_seed: int
     x0_policy: str
     achieved_ratios: tuple      # ratios[k-1]: step-k product / refined step max
 
     def __post_init__(self):
         _check_points(self.points, self.tau, 1)
-        if not 0.0 < self.grid_density < math.inf:
-            raise ValidationError("grid_density must be positive and finite")
         if self.rng_seed is not None and _check_int(self.rng_seed, _SEED_MESSAGE) < 0:
             raise ValidationError(_SEED_MESSAGE)
         if not all(map(math.isfinite, self.achieved_ratios)):
@@ -79,18 +74,17 @@ class PointSequence:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PointSequence":
-        message = ("a point sequence is a JSON object with numeric 'points', 'tau' and "
-                   "'grid_density'")
+        """Parse a JSON record; other keys (an older file's grid_density) are ignored."""
+        message = "a point sequence is a JSON object with numeric 'points' and 'tau'"
         try:
             if isinstance(obj, str):
                 obj = json.loads(obj)
-            points, tau, grid_density = obj["points"], obj["tau"], obj["grid_density"]
+            points, tau = obj["points"], obj["tau"]
             seed, ratios = obj.get("rng_seed"), obj.get("achieved_ratios", ())
             policy = obj.get("x0_policy", "right")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"{message} ({exc!r})") from exc
-        tau, grid_density = _floats((tau, grid_density), message)
-        return cls(points=_floats(points, message), tau=tau, grid_density=grid_density,
+        return cls(points=_floats(points, message), tau=_floats((tau,), message)[0],
                    rng_seed=None if seed is None else _check_int(seed, _SEED_MESSAGE),
                    x0_policy=policy, achieved_ratios=_floats(
                        ratios, "achieved_ratios must be a list of finite numbers"))
@@ -123,10 +117,9 @@ def _slope(x: float, w: float, pts_arr) -> tuple[float, float, np.ndarray]:
 
 
 def _value(x, w, pts_arr) -> tuple[np.ndarray, np.ndarray]:
-    """P and w P' at the points of the 1-d array x, widths w, in one
-    (len(x), k) pass."""
-    d = x[:, None] - pts_arr
-    return np.log(np.abs(d)).sum(axis=1), (w[:, None] / d).sum(axis=1)
+    """P and w P' at the points of the array x, widths w on its last axis, in one pass."""
+    d = x[..., None] - pts_arr
+    return np.log(np.abs(d)).sum(axis=-1), (w[..., None] / d).sum(axis=-1)
 
 
 # rows of the piece table: the ends lo < hi, flags (1.0) for ends that are
@@ -134,6 +127,7 @@ def _value(x, w, pts_arr) -> tuple[np.ndarray, np.ndarray]:
 # kappa / 2 and 1 / kappa for the piece's curvature floor mu = kappa / w^2;
 # P(c) and w P'(c)
 _LO, _HI, _LO_PT, _HI_PT, _W, _C, _L, _R, _HALF_KAPPA, _INV_KAPPA, _P, _DP = range(12)
+_INWARD = np.array([[1.0], [-1.0]])     # the inward direction of a draw's interval ends
 
 
 class _Pieces:
@@ -231,19 +225,54 @@ class _Pieces:
             self._refine(i, pts_arr)
             bound[i] = p[i]
             refined.add(i)
+        self.bound = bound
         return float(c[i]), float(p[i])
+
+    def draw(self, pts_arr, level: float, rng):
+        """A uniform random point x of {x in K : P(x) >= level} and P(x),
+        after `step_max`, by rejection (von Neumann, 1951); None when the
+        proposal has no length left in floats. On each piece whose U
+        reaches the level, the proposal is where U's parabola does, each end
+        below the level moved inward by a Newton step on P - level (which,
+        P being concave, stays outside the set; a wrong slope leaves none);
+        a rejected draw cuts its interval at x on the side P'(x) points away
+        from. The proposal always holds the set, so x is uniform on it."""
+        lo, hi, _, _, w, c, _, _, half_kappa, _, p, dp = self.t[:, :self.m][:, self.bound >= level]
+        # the roots of -half_kappa s^2 + dp s + gap, s = (x - c) / w, digits kept; one is
+        # infinite when kappa = 0, and a nan one (dp = 0, kappa or gap 0) keeps the piece end
+        gap = p - level
+        q = -0.5 * (dp + np.copysign(np.sqrt(dp * dp + 4.0 * half_kappa * gap), dp))
+        r0, r1 = q / -half_kappa, gap / q
+        ends = np.array((np.fmax(c + w * np.minimum(r0, r1), lo),
+                         np.fmin(c + w * np.maximum(r0, r1), hi)))
+        val, slope = _value(ends, w, pts_arr)
+        step = ends + w * (level - val) / slope
+        ends = np.where((val >= level) | (val == -math.inf), ends,
+                        np.where((step - ends) * _INWARD > 0.0, step, _INWARD * math.inf))
+        a, b = ends.tolist()
+        while (cum := list(accumulate(max(y - x, 0.0) for x, y in zip(a, b))))[-1] > 0.0:
+            i = bisect_right(cum, rng.random() * cum[-1])
+            x = min(a[i] + rng.random() * (b[i] - a[i]), b[i])
+            d = x - pts_arr
+            val = float(np.log(np.abs(d)).sum())
+            if val >= level:
+                return x, val
+            if val > -math.inf:         # a draw on a chosen point cuts nothing
+                if (1.0 / d).sum() > 0.0:
+                    a[i] = math.nextafter(x, math.inf)
+                else:
+                    b[i] = math.nextafter(x, -math.inf)
+        return None
 
 
 def _greedy(K: CompactSet, x0: float, n: int, choose) -> tuple[list, list]:
     """The greedy loop of generation and audit: n points from x0. Each step
-    takes the maximum P* of the log product over K from the piece state,
-    and choose(pts_arr, x_star, P*) gives the next point and its log
-    product P. Returns the points and the step ratios exp(min(P - P*, 0)).
-    One errstate covers the loop, choose included, and leaves unwarned:
-    log 0 = -inf at a chosen point and 1/0 at a candidate the new point
-    lands on (the split replaces both), 0 * inf in U where mu = P'(c) = 0,
-    and distances past the float range on a set that wide, whose step
-    maximum is then not finite and raises."""
+    takes the maximum P* over K from the piece state, and choose(pieces,
+    pts_arr, x_star, P*) gives the next point and its log product P.
+    Returns the points and the ratios exp(min(P - P*, 0)). One errstate
+    covers the loop, choose included: log 0 = -inf and 1/0 at chosen points,
+    0 * inf and 0 / 0 where mu or P'(c) is 0, and distances past the float
+    range on a set that wide, whose step maximum is then not finite and raises."""
     pts, ratios = np.full(n, float(x0)), []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         pieces = _Pieces(K, n, float(x0))
@@ -252,62 +281,40 @@ def _greedy(K: CompactSet, x0: float, n: int, choose) -> tuple[list, list]:
             if not math.isfinite(log_max):
                 raise ValidationError(f"step {k} has no finite maximum: the set is wider "
                                       "than the float range or has no float left to choose")
-            x, log_val = choose(pts[:k], x_star, log_max)
+            x, log_val = choose(pieces, pts[:k], x_star, log_max)
             pts[k] = x
             ratios.append(math.exp(min(log_val - log_max, 0.0)))
             pieces.add(pts[:k + 1])
     return pts.tolist(), ratios
 
 
-def _take_max(pts_arr, x_star, log_max):
-    """Exact mode's choice: the step maximum itself."""
-    return x_star, log_max
-
-
-def _generate(K: CompactSet, n: int, tau: float, rng_seed: int,
-              grid_density: float, x0) -> PointSequence:
+def _generate(K: CompactSet, n: int, tau: float, rng_seed: int, x0) -> PointSequence:
     n = _check_args(n, tau)
     if rng_seed < 0:
         raise ValidationError("seed must be nonnegative")
-    _check_density(grid_density)
     x0v, policy = _resolve_x0(K, x0)
-    choose = _take_max
-    if tau < 1.0:
-        grid = K.grid(grid_density)
-        if n > len(grid):
-            raise ValidationError(f"n = {n} exceeds the {len(grid)}-point grid")
-        rng = np.random.default_rng(rng_seed)
-        cum, term = np.zeros_like(grid), np.empty_like(grid)
+    # exact mode leaves numpy.random unimported, which keeps its memory low
+    rng = np.random.default_rng(rng_seed) if tau < 1.0 else None
 
-        def choose(pts_arr, x_star, log_max):
-            # cum = sum_j log|grid - x_j|, the newest point added first
-            np.add(cum, np.log(np.abs(np.subtract(grid, pts_arr[-1], out=term), out=term),
-                               out=term), out=cum)
-            elig = np.flatnonzero(cum >= math.log(tau) + log_max)
-            if len(elig) == 0:
-                return x_star, log_max
-            pick = elig[int(rng.integers(len(elig)))]
-            return float(grid[pick]), float(cum[pick])
+    def choose(pieces, pts_arr, x_star, log_max):
+        """Exact mode takes the step maximum, and so does a draw that finds no length."""
+        return rng and pieces.draw(pts_arr, log_max + math.log(tau), rng) or (x_star, log_max)
 
     pts, ratios = _greedy(K, x0v, n, choose)
-    return PointSequence(points=tuple(pts), tau=tau, grid_density=grid_density,
-                         rng_seed=rng_seed, x0_policy=policy,
+    return PointSequence(points=tuple(pts), tau=tau, rng_seed=rng_seed, x0_policy=policy,
                          achieved_ratios=tuple(ratios))
 
 
-def leja_sequence(K: CompactSet, n: int, x0="right",
-                  grid_density: float = DEFAULT_GRID_DENSITY) -> PointSequence:
-    """Exact-mode Leja points (deterministic); grid_density is recorded
-    only, since exact mode builds no grid."""
-    return _generate(K, n, 1.0, 0, grid_density, x0)
+def leja_sequence(K: CompactSet, n: int, x0="right") -> PointSequence:
+    """Exact-mode Leja points (deterministic)."""
+    return _generate(K, n, 1.0, 0, x0)
 
 
 def quasi_leja_sequence(K: CompactSet, n: int, tau: float, rng_seed: int = 0,
-                        grid_density: float = DEFAULT_GRID_DENSITY,
                         x0="right") -> PointSequence:
-    """tau-quasi-Leja points with seeded random choices among the eligible
-    grid points of every step."""
-    return _generate(K, n, tau, rng_seed, grid_density, x0)
+    """tau-quasi-Leja points: every step a seeded uniform draw from the points
+    of K whose product reaches tau times the step maximum."""
+    return _generate(K, n, tau, rng_seed, x0)
 
 
 @dataclass(frozen=True)
@@ -334,7 +341,7 @@ def verify_quasi_leja(seq: PointSequence, K: CompactSet, tau: float = None) -> A
     if len(out):
         raise ValidationError(f"x_{out[0]} = {float(pts[out[0]])} lies outside the set")
 
-    def own_next(arr, x_star, log_max):
+    def own_next(pieces, arr, x_star, log_max):
         x = pts[len(arr)]
         return x, float(np.sum(np.log(np.abs(x - arr))))
 

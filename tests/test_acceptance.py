@@ -238,7 +238,7 @@ def test_11_basis_values_below_switching(leja_unit_100, quasi_unit_seqs):
     checked = 0
     for seq, tau in ((leja_unit_100, 1.0), (quasi_unit_seqs[(0.9, 0)], 0.9)):
         head = seq.points[:n]
-        sub = type(seq)(points=head, tau=tau, grid_density=seq.grid_density,
+        sub = type(seq)(points=head, tau=tau,
                         rng_seed=seq.rng_seed, x0_policy=seq.x0_policy,
                         achieved_ratios=seq.achieved_ratios[:n - 1])
         for x in rng.uniform(-1, 1, 100):

@@ -337,9 +337,7 @@ _INSTANCE = "a switching instance is a JSON object with numeric 'points' and 'ta
 @pytest.mark.parametrize("argv,message", [
     (("points", "--n", "3", "--tau", "0.5", "--seed", "-1"), "seed must be nonnegative"),
     (("itau", "--seed", "-1"), "seed must be nonnegative"),
-    # relaxed mode's grid refuses a set this wide; exact mode builds no grid
-    (("points", "--n", "3", "--tau", "0.5", "--set=0,1e308"),
-     "grid of inf points exceeds cap 5000000"),
+    (("points", "--n", "0", "--tau", "0.5"), "n must be at least 1"),
     (("verify", "--audit-tau", "nan"), "tau must lie in (0, 1]"),
     (("verify", "--audit-tau", "2"), "tau must lie in (0, 1]"),
     (("bound", "--n", "5", "--deltas", "-1"), "deltas must be at least 1"),
@@ -386,22 +384,29 @@ def test_bad_seed_huge_set_and_audit_tau_are_usage_errors(tmp_path, capsys, argv
 
 
 def test_exact_points_near_the_float_range(capsys):
-    # exact mode builds no grid: a set up to 1e308 runs, and a set wider than
-    # the float range exits 2 with one error line
-    code, out, _ = run(capsys, "points", "--n", "3", "--set=0,1e308")
-    assert code == 0
-    assert [float(r.split(",")[1]) for r in out.splitlines()[1:]] == [1e308, 0.0, 5e307]
-    assert run(capsys, "points", "--n", "3", "--set=-1e308,1e308") == (
-        2, "", "error: step 1 has no finite maximum: the set is wider than the float "
-               "range or has no float left to choose\n")
+    # no mode builds a grid (a relaxed one of 1e4 points per unit length
+    # refused [0, 1e308]): a set up to 1e308 runs, and a set wider than the
+    # float range exits 2 with one error line
+    for tau in ("1", "0.5"):
+        code, out, _ = run(capsys, "points", "--n", "3", "--set=0,1e308", "--tau", tau)
+        assert code == 0
+        pts = [float(r.split(",")[1]) for r in out.splitlines()[1:]]
+        assert pts[0] == 1e308 and all(0.0 <= x <= 1e308 for x in pts)
+        assert tau != "1" or pts == [1e308, 0.0, 5e307]
+        assert run(capsys, "points", "--n", "3", "--set=-1e308,1e308", "--tau", tau) == (
+            2, "", "error: step 1 has no finite maximum: the set is wider than the float "
+                   "range or has no float left to choose\n")
 
 
 def test_nonfinite_grid_density_is_usage_error(capsys):
-    for density in ("inf", "nan"):
-        code, out, err = run(capsys, "points", "--n", "5", "--grid-density", density)
-        assert code == 2
+    # relaxed mode draws without a grid, so --grid-density is no option at all
+    for density in ("inf", "nan", "10"):
+        with pytest.raises(SystemExit) as exc:
+            main(["points", "--n", "5", "--grid-density", density])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
         assert out == ""
-        assert err == "error: density must be positive and finite\n"
+        assert err.endswith("error: unrecognized arguments: --grid-density %s\n" % density)
 
 
 def test_missing_n_is_usage_error(capsys):
@@ -427,11 +432,11 @@ def test_verify_suite_passes(capsys):
     assert all(": OK" in l for l in lines)
 
 
-def test_verify_reads_x0_and_grid_density(capsys):
+def test_verify_reads_x0(capsys):
     assert run(capsys, "verify", "--x0", "5") == (
         2, "", "error: x0 = 5.0 lies outside the set\n")
     code, out, _ = run(capsys, "verify", "--set", "0,1;2,3", "--tau", "0.9",
-                       "--x0", "left", "--grid-density", "5000")
+                       "--x0", "left")
     assert code == 0
     assert run(capsys, "verify", "--set", "0,1;2,3", "--tau", "0.9")[1] != out
 

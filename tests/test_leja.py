@@ -68,7 +68,9 @@ def _piece_max(nodes, intervals=((-1.0, 1.0),)):
         f, fp = r.sum(axis=1), -(r * r).sum(axis=1)
         a, b = np.where(f > 0, x, a), np.where(f > 0, b, x)
         step = x - f / fp
-        x = np.where((step > a) & (step < b), step, 0.5 * (a + b))
+        x, last = np.where((step > a) & (step < b), step, 0.5 * (a + b)), x
+        if np.array_equal(x, last):     # a fixed point: later rounds change nothing
+            break
     cand = np.stack([np.where(np.isin(a0, s), x, a0), np.where(np.isin(b0, s), x, b0), x])
     with np.errstate(divide="ignore"):
         vals = np.log(np.abs(cand[..., None] - s)).sum(axis=-1)
@@ -102,8 +104,9 @@ def test_exact_steps_past_the_grid_misses(intervals, n, worst):
 
 def test_step_takes_at_most_6_slope_evaluations(monkeypatch, K_unit, K_two):
     # a refined piece takes a check at its free end and a few Newton steps
-    # from its candidate, and a step refines at most 2 pieces, the measured
-    # maxima; a search that bisects after converging takes 20 to 50
+    # from its candidate, and an exact step refines at most 2 pieces, a
+    # relaxed step on the Cantor set at most 3, the measured maxima; a
+    # search that bisects after converging takes 20 to 50
     calls, per_piece, per_step = [0], [], []
     slope, refine, step_max = leja._slope, leja._Pieces._refine, leja._Pieces.step_max
 
@@ -128,10 +131,12 @@ def test_step_takes_at_most_6_slope_evaluations(monkeypatch, K_unit, K_two):
     K_cantor = cantor_approx(3, 1.0 / 3.0)
     leja_sequence(K_unit, 400)
     leja_sequence(K_two, 100)
+    assert len(per_step) == 399 + 99
     verify_quasi_leja(quasi_leja_sequence(K_cantor, 120, 0.9, rng_seed=0), K_cantor)
     assert len(per_step) == 399 + 99 + 2 * 119
     assert max(per_piece) <= 6
-    assert max(per_step) <= 2
+    assert max(per_step[:399 + 99]) <= 2
+    assert max(per_step) <= 3
 
 
 @pytest.mark.parametrize("intervals,n,ends", [(((0.0, 1.0), (2.0, 3.0)), 100, 3),
@@ -157,11 +162,10 @@ def test_step_maximum_at_a_component_end_is_that_end(intervals, n, ends):
 
 @pytest.mark.parametrize("intervals", [((-1.0, 1.0),), ((0.0, 1.0), (2.0, 3.0))])
 def test_refined_step_with_chosen_grid_points_as_bracket_ends(monkeypatch, intervals):
-    # on a coarse grid a tau = 0.5 draw picks grid points, which become the
-    # ends of pieces, and at several steps the grid argmax lies outside the
-    # piece of the maximum; every step's P* is the true maximum over K
+    # tau = 0.5 draws become the ends of pieces (once grid points of density
+    # 100, on which the grid argmax lay outside the piece of the maximum at
+    # several steps); every step's P* is the true maximum over K
     K = make_union(intervals)
-    grid = K.grid(100.0)
     steps, step_max = [], leja._Pieces.step_max
 
     def recorded(self, pts_arr):
@@ -170,23 +174,19 @@ def test_refined_step_with_chosen_grid_points_as_bracket_ends(monkeypatch, inter
         return x, p
 
     monkeypatch.setattr(leja._Pieces, "step_max", recorded)
-    quasi_leja_sequence(K, 60, 0.5, rng_seed=0, grid_density=100.0)
-    missed = 0
+    quasi_leja_sequence(K, 60, 0.5, rng_seed=0)
+    assert len(steps) == 59
     for pts, x, p in steps:
         a, b, _, vals = _piece_max(pts, intervals)
         best = int(np.argmax(vals))
         assert abs(p - vals[best]) <= 1e-12, (len(pts), p, vals[best])
         assert a[best] <= x <= b[best] and x not in pts
-        with np.errstate(divide="ignore"):
-            xg = grid[np.argmax(np.log(np.abs(grid[:, None] - pts)).sum(axis=1))]
-        missed += not a[best] <= xg <= b[best]
-    assert missed >= 3
 
 
 def test_quasi_achieved_ratios_are_against_the_true_maximum(K_unit):
-    # a coarse grid, where ratios against the refined grid argmax read 0.517
-    # at the smallest while the true ratio fell to 0.0138
-    seq = quasi_leja_sequence(K_unit, 60, 0.5, rng_seed=0, grid_density=100.0)
+    # drawn on a grid of density 100, ratios against the refined grid argmax
+    # read 0.517 at the smallest while the true ratio fell to 0.0138
+    seq = quasi_leja_sequence(K_unit, 60, 0.5, rng_seed=0)
     pts = np.asarray(seq.points)
     for k in range(1, 60):
         log_val = np.sum(np.log(np.abs(pts[k] - pts[:k])))
@@ -206,12 +206,83 @@ def test_audit_accepts_long_sequences(K_unit, n, tau):
     assert rep.ok, (rep.worst_ratio, rep.worst_step)
 
 
-def test_exact_mode_runs_past_the_grid_size(K_unit):
-    # 50 points from a density whose grid has 21: exact mode builds no grid,
-    # and the density is only recorded
-    seq = leja_sequence(K_unit, 50, grid_density=10.0)
-    assert seq.points == leja_sequence(K_unit, 50).points
-    assert seq.grid_density == 10.0
+@pytest.mark.parametrize("intervals,n", [(((-1.0, 1.0),), 50), (((0.0, 1e-6), (2e-6, 3e-6)), 40),
+                                         (((0.0, 1000.0),), 5)],
+                         ids=["unit-50", "micro-40", "wide-5"])
+def test_relaxed_mode_runs_at_every_scale(intervals, n):
+    # relaxed draws once came from a grid of 1e4 points per unit length: 50
+    # points on a 21-point grid, 40 on a 4-point one and 5 on a grid past the
+    # 5e6-point cap were refused; every mode runs on these sets now
+    K = make_union(intervals)
+    for tau in (1.0, 0.9, 0.5):
+        seq = quasi_leja_sequence(K, n, tau, rng_seed=1)
+        assert min(seq.achieved_ratios) >= tau - 1e-9
+        assert verify_quasi_leja(seq, K).ok
+
+
+def _superlevel(nodes, intervals, level):
+    """The intervals of {x : P(x) >= level} on the union cut at the nodes,
+    one or none per piece since P is concave there: each end is a piece end
+    or a root of P - level, bracketed by the piece maximum and bisected."""
+    a, b, x, vals = _piece_max(nodes, intervals)
+    keep = vals >= level
+    a, b, x = a[keep], b[keep], x[keep]
+
+    def p(y):
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(y[:, None] - nodes)).sum(axis=1)
+
+    ends = []
+    for out, inside in ((a, x), (b, x)):
+        out, inside = out.copy(), inside.copy()
+        done = p(out) >= level
+        for _ in range(200):
+            mid = 0.5 * (out + inside)
+            up = p(mid) >= level
+            inside, out = np.where(up, mid, inside), np.where(up, out, mid)
+        ends.append(np.where(done, out, inside))
+    return ends[0], ends[1]
+
+
+def test_relaxed_draws_are_uniform_on_the_superlevel_set():
+    # 2000 draws at one step, placed by length along the superlevel set
+    # (several intervals here), pass a Kolmogorov-Smirnov test at 1%
+    intervals, tau = ((0.0, 1.0), (2.0, 3.0)), 0.5
+    K = make_union(intervals)
+    nodes = np.asarray(leja_sequence(K, 30).points)
+    pieces = leja._Pieces(K, 31, nodes[0])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(2, 31):
+            pieces.add(nodes[:k])
+        _, log_max = pieces.step_max(nodes)
+        level = log_max + math.log(tau)
+        rng = np.random.default_rng(0)
+        xs = np.array([pieces.draw(nodes, level, rng)[0] for _ in range(2000)])
+    lo, hi = _superlevel(nodes, intervals, level)
+    assert len(lo) >= 4
+    assert np.max(_piece_max(nodes, intervals)[3]) == pytest.approx(log_max, abs=1e-12)
+    where = np.searchsorted(lo, xs, "right") - 1
+    assert np.all(xs <= hi[where] + 1e-12)
+    before = np.concatenate(([0.0], np.cumsum(hi - lo)))
+    u = np.sort((before[where] + np.fmax(xs - lo[where], 0.0)) / before[-1])
+    ecdf = np.arange(1, len(u) + 1) / len(u)
+    ks = max(np.max(ecdf - u), np.max(u - ecdf + 1.0 / len(u)))
+    assert ks < 1.628 / math.sqrt(len(u))       # the 1% critical value
+
+
+@pytest.mark.parametrize("tau", [0.9, 0.5])
+@pytest.mark.parametrize("intervals,n", [
+    (((-1.0, 1.0),), 1000), (((0.0, 1.0), (2.0, 3.0)), 500),
+    (cantor_approx(4, 1.0 / 3.0).intervals, 300)], ids=["unit", "two-intervals", "cantor4"])
+def test_relaxed_steps_reach_tau_times_the_true_maximum(intervals, n, tau):
+    # sampled steps and the step of the smallest reported ratio, against the
+    # independent per-piece maximum
+    seq = quasi_leja_sequence(make_union(intervals), n, tau)
+    pts = np.asarray(seq.points)
+    for k in [*range(n // 10, n, n // 10), 1 + int(np.argmin(seq.achieved_ratios))]:
+        chosen = np.sum(np.log(np.abs(pts[k] - pts[:k])))
+        true_max = np.max(_piece_max(pts[:k], intervals)[3])
+        assert chosen >= true_max + math.log(tau) + math.log1p(-1e-12), k
 
 
 def test_quasi_ratios_respect_tau(quasi_unit_seqs):
@@ -226,14 +297,15 @@ def test_quasi_reduces_to_exact_at_tau_one(K_unit):
     assert a.points == b.points
 
 
-def test_quasi_fallback_near_tau_one_is_exact_mode(K_unit):
-    # at tau = 1 - 1e-12 almost every step finds no grid point within the
-    # relaxation of the refined maximum and falls back to the refined argmax,
-    # which is the exact-mode choice
-    a = leja_sequence(K_unit, 60)
-    b = quasi_leja_sequence(K_unit, 60, 1.0 - 1e-12, rng_seed=3)
-    assert a.points == b.points
-    assert a.achieved_ratios == b.achieved_ratios
+@pytest.mark.parametrize("tau", [1.0 - 1e-12, 1.0 - 1e-15, math.nextafter(1.0, 0.0)],
+                         ids=["1-1e-12", "1-1e-15", "nextafter"])
+def test_quasi_near_tau_one_keeps_every_ratio(K_unit, tau):
+    # the superlevel set shrinks to widths the rounding of P cannot resolve;
+    # a grid found no point in it and took the maximiser, the draw still
+    # ends and keeps every ratio
+    seq = quasi_leja_sequence(K_unit, 200 if tau > 1.0 - 1e-12 else 60, tau, rng_seed=3)
+    assert min(seq.achieved_ratios) >= tau - 1e-9
+    assert verify_quasi_leja(seq, K_unit).ok
 
 
 def test_quasi_seed_reproducible(K_unit):
@@ -263,8 +335,7 @@ def test_audit_rejects_tampered_sequence(K_unit):
     seq = leja_sequence(K_unit, 10)
     pts = list(seq.points)
     pts[5] = 0.93 * pts[5] + 0.01   # off the greedy choice
-    bad = PointSequence(points=tuple(pts), tau=1.0,
-                        grid_density=seq.grid_density, rng_seed=None,
+    bad = PointSequence(points=tuple(pts), tau=1.0, rng_seed=None,
                         x0_policy=seq.x0_policy,
                         achieved_ratios=seq.achieved_ratios)
     rep = verify_quasi_leja(bad, K_unit, tau=1.0)
@@ -272,7 +343,7 @@ def test_audit_rejects_tampered_sequence(K_unit):
 
 
 def _points(*points):
-    return PointSequence(points=points, tau=1.0, grid_density=100.0, rng_seed=None,
+    return PointSequence(points=points, tau=1.0, rng_seed=None,
                          x0_policy="right", achieved_ratios=())
 
 
@@ -308,6 +379,22 @@ def test_two_component_set_alternates(leja_two_100, K_two):
     in_right = pts >= 2.0
     # both components are visited early
     assert in_right[:4].any() and (~in_right[:4]).any()
+
+
+def test_a_sequence_in_the_older_format_loads_and_audits():
+    # files written while relaxed mode drew from a grid carry its density,
+    # which is ignored now
+    old = json.dumps({"achieved_ratios": [0.91625, 0.9772661074393856, 0.9358797402538345,
+                                          0.9697842619358343],
+                      "grid_density": 10000.0,
+                      "points": [1.0, -0.8325, -0.054400000000000004, 0.44030000000000014,
+                                 -0.9963],
+                      "rng_seed": 2, "tau": 0.9, "x0_policy": "right"})
+    seq = PointSequence.from_json(old)
+    assert "grid_density" not in seq.to_json()
+    rep = verify_quasi_leja(seq, make_union([(-1.0, 1.0)]))
+    assert rep.ok
+    assert np.max(np.abs(np.subtract(rep.ratios, seq.achieved_ratios))) <= 1e-12
 
 
 def test_json_roundtrip(K_unit):
@@ -356,9 +443,9 @@ def test_separation_holds_for_quasi(quasi_unit_seqs, model_unit):
 def test_separation_check_is_scale_invariant():
     # [0, s] u [2s, 3s]: floor and best delta scale with the set
     ref = None
-    for s in (1.0, 1e-3, 1e-6):
+    for s in (1.0, 1e3, 1e-3, 1e-6):
         K = make_union([(0.0, s), (2.0 * s, 3.0 * s)])
-        seq = quasi_leja_sequence(K, 40, 0.9, grid_density=1e4 / s)
+        seq = quasi_leja_sequence(K, 40, 0.9)
         rep = check_separation(seq, build_green_model(K))
         got = (rep.floor / K.diam, rep.best_delta / K.diam)
         ref = ref or got

@@ -12,7 +12,7 @@ from lejabounds import (CompactSet, InterpolationOperator, PointSequence, Switch
                         basis_vs_switching, brute_force_log_min, cantor_approx,
                         from_spec, green_interval_analytic, ineq1, ineq3,
                         lebesgue_bound, leja_sequence, make_union, optimize_bound,
-                        quasi_lebesgue_bound, quasi_leja_sequence, separation_floor,
+                        quasi_lebesgue_bound, separation_floor,
                         spread_log_bound, worst_case_instance)
 from lejabounds.cli import main
 
@@ -50,10 +50,6 @@ LIBRARY = {
     "basis-index-out-of-range": (lambda m: _OP3.lagrange_basis(3, 0.5), "out of range"),
     "fvals-wrong-shape": (lambda m: _OP3.interpolate([1.0, 2.0], 0.5), "node count"),
     "x0-middle": (lambda m: leja_sequence(_UNIT, 3, x0="middle"), "x0 must be"),
-    # relaxed mode draws from a grid; exact mode builds none
-    # (test_leja.test_exact_mode_runs_past_the_grid_size)
-    "n-beyond-grid": (lambda m: quasi_leja_sequence(_UNIT, 50, 0.5, grid_density=10.0),
-                      "exceeds the 21-point grid"),
     "brute-force-q-21": (lambda m: brute_force_log_min(worst_case_instance(0.9, 21)),
                          "q <= 20"),
     "worst-case-q-0": (lambda m: worst_case_instance(0.9, 0), "q must be at least 1"),
@@ -93,11 +89,7 @@ LIBRARY = {
     "sequence-json-string-point": (lambda m: _sequence_json(points=[0.0, "a"]),
                                    "numeric 'points'"),
     "sequence-json-tau-7": (lambda m: _sequence_json(tau=7), r"tau must lie in \(0, 1\]"),
-    "sequence-json-negative-density": (lambda m: _sequence_json(grid_density=-1),
-                                       "grid_density must be positive"),
-    "sequence-json-infinite-density": (lambda m: _sequence_json(grid_density=math.inf),
-                                       "grid_density must be positive"),
-    "sequence-json-missing-key": (lambda m: _sequence_json(drop="grid_density"),
+    "sequence-json-missing-key": (lambda m: _sequence_json(drop="tau"),
                                   "numeric 'points'"),
     "sequence-json-list": (lambda m: PointSequence.from_json([0.0, 1.0]), "JSON object"),
     "sequence-json-scalar-points": (lambda m: _sequence_json(points=3), "numeric 'points'"),
@@ -165,12 +157,12 @@ LIBRARY = {
 
 
 def _sequence(points):
-    return PointSequence(points=points, tau=1.0, grid_density=10.0, rng_seed=None,
+    return PointSequence(points=points, tau=1.0, rng_seed=None,
                          x0_policy="right", achieved_ratios=())
 
 
 def _sequence_json(drop=None, **fields):
-    obj = {"points": [0.0, 1.0], "tau": 1.0, "grid_density": 10, **fields}
+    obj = {"points": [0.0, 1.0], "tau": 1.0, **fields}
     obj.pop(drop, None)
     return PointSequence.from_json(obj)
 
@@ -207,9 +199,9 @@ def test_invalid_input_is_rejected(name, model_unit, tmp_path, capsys):
 @pytest.mark.parametrize("cfg, message", [
     ('{"cantor_depth": 3.0}', "argument --cantor-depth: invalid int value: '3.0'"),
     ('{"seed": 1.5}', "argument --seed: invalid int value: '1.5'"),
-    ('{"grid_density": true}', "argument --grid-density: invalid float value: 'True'"),
+    ('{"tau": true}', "argument --tau: invalid float value: 'True'"),
     ('{"set": {"cantor": {"depth": 2.5, "ratio": 0.3}}}', "depth must be a nonnegative integer"),
-], ids=["cantor-depth-float", "seed-float", "grid-density-bool", "set-fractional-depth"])
+], ids=["cantor-depth-float", "seed-float", "tau-bool", "set-fractional-depth"])
 def test_config_values_are_checked_as_flags(cfg, message, tmp_path, capsys):
     # a config value passes the same conversion as the flag, so exits 2
     argv = ["--config", str(_write(tmp_path, cfg)), "points", "--n", "3"]

@@ -400,7 +400,7 @@ def test_basis_vs_switching_checks_the_suffix(points, tau, message):
     # the sequence and the instance share one check: a sequence that would make
     # an invalid chain is refused when it is made, before basis_vs_switching
     with pytest.raises(ValidationError, match=message):
-        PointSequence(points=points, tau=tau, grid_density=1.0, rng_seed=None,
+        PointSequence(points=points, tau=tau, rng_seed=None,
                       x0_policy="right", achieved_ratios=())
     with pytest.raises(ValidationError, match=message):
         SwitchingInstance(points[1:] + (5.0,), tau)
