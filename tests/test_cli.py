@@ -384,18 +384,27 @@ def test_bad_seed_huge_set_and_audit_tau_are_usage_errors(tmp_path, capsys, argv
 
 
 def test_exact_points_near_the_float_range(capsys):
-    # no mode builds a grid (a relaxed one of 1e4 points per unit length
-    # refused [0, 1e308]): a set up to 1e308 runs, and a set wider than the
-    # float range exits 2 with one error line
-    for tau in ("1", "0.5"):
-        code, out, _ = run(capsys, "points", "--n", "3", "--set=0,1e308", "--tau", tau)
-        assert code == 0
-        pts = [float(r.split(",")[1]) for r in out.splitlines()[1:]]
-        assert pts[0] == 1e308 and all(0.0 <= x <= 1e308 for x in pts)
-        assert tau != "1" or pts == [1e308, 0.0, 5e307]
-        assert run(capsys, "points", "--n", "3", "--set=-1e308,1e308", "--tau", tau) == (
-            2, "", "error: step 1 has no finite maximum: the set is wider than the float "
-                   "range or has no float left to choose\n")
+    # exact mode builds no grid: a set up to 1e308 runs, and a set wider than
+    # the float range exits 2 with one error line
+    code, out, _ = run(capsys, "points", "--n", "3", "--set=0,1e308")
+    assert code == 0
+    assert [float(r.split(",")[1]) for r in out.splitlines()[1:]] == [1e308, 0.0, 5e307]
+    assert run(capsys, "points", "--n", "3", "--set=-1e308,1e308") == (
+        2, "", "error: step 1 has no finite maximum: the set is wider than the float "
+               "range or has no float left to choose\n")
+
+
+def test_relaxed_points_near_the_float_range(capsys):
+    # relaxed draws once came from a grid of 1e4 points per unit length, which
+    # refused [0, 1e308]; they build no grid now, so the set runs, and a set
+    # wider than the float range exits 2 as in exact mode
+    code, out, _ = run(capsys, "points", "--n", "3", "--set=0,1e308", "--tau", "0.5")
+    assert code == 0
+    pts = [float(r.split(",")[1]) for r in out.splitlines()[1:]]
+    assert pts[0] == 1e308 and all(0.0 <= x <= 1e308 for x in pts)
+    assert run(capsys, "points", "--n", "3", "--set=-1e308,1e308", "--tau", "0.5") == (
+        2, "", "error: step 1 has no finite maximum: the set is wider than the float "
+               "range or has no float left to choose\n")
 
 
 def test_nonfinite_grid_density_is_usage_error(capsys):

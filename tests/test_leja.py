@@ -206,6 +206,17 @@ def test_audit_accepts_long_sequences(K_unit, n, tau):
     assert rep.ok, (rep.worst_ratio, rep.worst_step)
 
 
+def test_exact_mode_runs_past_the_grid_size(K_unit):
+    # 50 points where a grid of density 10 had 21: exact mode builds no grid
+    # and takes no density, and every step is the true maximum
+    with pytest.raises(TypeError):
+        leja_sequence(K_unit, 50, grid_density=10.0)
+    seq = leja_sequence(K_unit, 50)
+    assert len(set(seq.points)) == 50
+    assert seq.points == quasi_leja_sequence(K_unit, 50, 1.0).points
+    assert verify_quasi_leja(seq, K_unit).ok
+
+
 @pytest.mark.parametrize("intervals,n", [(((-1.0, 1.0),), 50), (((0.0, 1e-6), (2e-6, 3e-6)), 40),
                                          (((0.0, 1000.0),), 5)],
                          ids=["unit-50", "micro-40", "wide-5"])
