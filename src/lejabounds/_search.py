@@ -1,10 +1,19 @@
 """Batched maximizers shared across modules: a sample-and-zoom for black-box
-functions and a bracketed Newton iteration for functions whose derivative
-is known and that have one maximum per bracket."""
+functions, a bracketed Newton iteration for functions whose derivative is
+known and that have one maximum per bracket, and the bound of a concave one."""
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def concave_bound(p, dp, half_kappa, left, right):
+    """U = max over s in [left, right] of p + dp s - half_kappa s^2: with
+    s = (x - c) / w, p = f(c), dp = w f'(c) and f'' <= -2 half_kappa / w^2,
+    a bound of f on the piece. nan when dp is; p when dp = half_kappa = 0.
+    The caller ignores numpy's divide and invalid warnings (dp / 0 here)."""
+    s = np.fmin(np.fmax(dp / (2.0 * half_kappa), left), right)
+    return p + s * (dp - half_kappa * s)
 
 
 def zoom_max(f, lo, hi, counts):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import newton_max
+from ._search import concave_bound, newton_max
 from .compact_set import CompactSet, ValidationError, _TINY, _check_int
 
 # point x node entries of one row block
@@ -155,15 +155,16 @@ class LebesgueReport:
 
 class _Batch:
     """Operators in order of node count, with the tracks of log Lambda of
-    each at points it owns."""
+    each at points it owns, in units of q: a power of two, so exactly."""
 
-    def __init__(self, ops):
-        self.ops = ops
+    def __init__(self, ops, q):
+        self.ops, self.q = ops, q
+        self.op_nodes = [op.nodes / q for op in ops]
         self.size = np.array([op.n for op in ops])
         self.start = np.cumsum(self.size) - self.size
-        self.nodes = np.concatenate([op.nodes for op in ops])
+        self.nodes = np.concatenate(self.op_nodes)
         self.w = np.concatenate([op._w for op in ops])
-        self.log_w_max = np.array([op._log_w.max() for op in ops])
+        self.log_w_max = np.array([op._log_w.max() for op in ops]) + (self.size - 1) * np.log(q)
 
     def track(self, x, owner, second):
         """(log Lambda)' at the points x, off the nodes, and then
@@ -178,10 +179,12 @@ class _Batch:
         c / prod_k (x - x_k) (Berrut & Trefethen, SIAM Rev. 46, 2004), so
         (log|B|)' = sum u_k and (log|B|)'' = sum u_k^2. In the same terms
         log Lambda = log(sum_k |w~_k u_k|) + max_k log|w_k| - sum_k log|u_k|,
-        with w~ the weights scaled by their largest modulus. The rows run in
-        blocks of _BLOCK_ENTRIES // (2 * n) points, n the largest node count
-        of the batch, each padded to its last row's node count, so a block's
-        two tables, u and c, hold at most _BLOCK_ENTRIES entries together.
+        with w~ the weights scaled by their largest modulus (in units of q,
+        w_k gains a factor q^(n - 1)). With q near diam K, u^3 neither over-
+        nor underflows. The rows run in blocks of _BLOCK_ENTRIES // (2 * n)
+        points, n the largest node count of the batch, each padded to its
+        last row's node count, so a block's two tables, u and c, hold at
+        most _BLOCK_ENTRIES entries together.
         """
         rows = max(1, _BLOCK_ENTRIES // (2 * self.size[-1]))
         g, h = np.empty(len(x)), np.empty(len(x))
@@ -205,7 +208,7 @@ class _Batch:
         process, 2 vCPUs, numpy 2.4.6)."""
         o0, o1 = owner[0], owner[-1] + 1
         if o1 - o0 == 1:
-            u = self.ops[o0].nodes - x[:, None]
+            u = self.op_nodes[o0] - x[:, None]
             np.divide(1.0, u, out=u)
             c = self.ops[o0]._w * u
             live = True
@@ -233,36 +236,24 @@ class _Batch:
                    - np.log(np.abs(u, out=u), out=u, where=live).sum(axis=1))
 
     def pieces(self, K: CompactSet):
-        """Every component of K cut at each operator's nodes inside it: the
-        P pieces (lo, hi) and their owners, operator by operator and
-        component by component in increasing order; then the free ends (the
-        component ends that are not nodes of their operator), their owners,
-        and their slots among the piece ends (slot p is the lower end of
-        piece p, slot P + p its upper end)."""
-        ends = np.array(K.intervals)
-        a, b = ends.T
-        m, C = len(self.ops), len(ends)
+        """Every component of K cut at each operator's nodes in it: the
+        pieces (lo, hi), operator by operator and component by component in
+        increasing order, their owners, and whether each end is free (a
+        component end that is not a node of the owner)."""
+        a, b = np.array(K.intervals).T / self.q
+        m, C = len(self.ops), len(a)
         comp = a.searchsorted(self.nodes, side="right") - 1
-        on = comp >= 0
-        comp = np.maximum(comp, 0)
-        group = np.repeat(np.arange(m), self.size) * C + comp
-        inside = on & (self.nodes > a[comp]) & (self.nodes < b[comp])
-        # group g = (operator, component) runs from ends[g, 0] to ends[g, 1]
-        ends = np.concatenate([ends] * m)
-        groups = np.arange(m * C)
-        cuts = np.concatenate((ends[:, 0], self.nodes[inside], ends[:, 1]))
-        of = np.concatenate((groups, group[inside], groups))
+        on = (comp >= 0) & (self.nodes <= b[comp])
+        group = np.repeat(np.arange(m), self.size)[on] * C + comp[on]
+        # group g = (operator, component) runs from its lower to its upper end. The sort is
+        # stable, so a node on an end sorts inside it; the piece of width 0 between goes
+        cuts = np.concatenate((np.tile(a, m), self.nodes[on], np.tile(b, m)))
+        of = np.concatenate((np.arange(m * C), group, np.arange(m * C)))
         i = np.lexsort((cuts, of))
         cuts, of = cuts[i], of[i]
-        piece = of[1:] == of[:-1]
-        last = np.cumsum(np.bincount(group[inside], minlength=m * C) + 1) - 1
-        first = np.concatenate(([0], last[:-1] + 1))
-        free = np.ones((m * C, 2), dtype=bool)
-        free[group[on & (self.nodes == a[comp])], 0] = False
-        free[group[on & (self.nodes == b[comp])], 1] = False
-        slot = np.array([first, last + last[-1] + 1]).T
+        piece = (of[1:] == of[:-1]) & (cuts[1:] > cuts[:-1])
         return (cuts[:-1][piece], cuts[1:][piece], of[:-1][piece] // C,
-                ends[free], free.ravel().nonzero()[0] // (2 * C), slot[free])
+                i[:-1][piece] < m * C, i[1:][piece] >= len(i) - m * C)
 
 
 def lebesgue_constants(operators, K: CompactSet) -> list[LebesgueReport]:
@@ -289,14 +280,17 @@ def lebesgue_constants(operators, K: CompactSet) -> list[LebesgueReport]:
     log|x - z| over real zeros z off the piece: it is concave there, and
     its tangent at the piece's midpoint m bounds it on the whole piece,
     log Lambda <= U = f(m) + max(g(m) (hi - m), g(m) (lo - m)) with
-    f = log Lambda and g = f'.
+    f = log Lambda and g = f' (`concave_bound` with no curvature floor).
 
-    One pass takes f and g at every free end (a component end that is
-    not a node) and at every piece midpoint of every operator, in the row
-    blocks of `_Batch.track`; best is the largest f of an operator's rows.
-    A piece peaks at a free end where g points out of the piece, and
-    otherwise (an inner piece) at its one interior critical point; node
-    ends never are candidates, since Lambda = 1 there. Only the inner
+    The scan works in units of q, the least power of two above diam K, so
+    it runs at any scale, and its iterates scale with K exactly. One pass
+    runs piece by piece over a (pieces x 3) table, the free lower end (a
+    component end that is not a node), the midpoint and the free upper
+    end, so its rows come in owner order: it takes f and g there in the
+    row blocks of `_Batch.track`, and best is the largest f of an
+    operator's rows. A piece peaks at a free end where g points out of it,
+    and otherwise (an inner piece) at its one interior critical point;
+    node ends never are candidates, since Lambda = 1 there. Only the inner
     pieces with U >= best - 1e-8 (1 + |g(m)| (hi - lo)), best that of the
     piece's own operator, go to `newton_max` on (log Lambda)', and a piece
     whose U is nan stays in. The margin covers the rounding of f, of the
@@ -317,32 +311,31 @@ def lebesgue_constants(operators, K: CompactSet) -> list[LebesgueReport]:
     if not ops:
         return []
     order = sorted(range(len(ops)), key=lambda i: ops[i].n)
-    batch = _Batch([ops[i] for i in order])
-    lo, hi, owner, free, free_owner, slot = batch.pieces(K)
-    mid = 0.5 * (lo + hi)
-    # the pass takes each operator's free ends, then its midpoints
-    row_owner = np.concatenate((free_owner, owner))
-    rows = row_owner.argsort(kind="stable")
-    row_owner = row_owner[rows]
-    g, f = np.empty(len(rows)), np.empty(len(rows))
+    q = np.ldexp(1.0, np.frexp(K.diam)[1])
+    batch = _Batch([ops[i] for i in order], q)
+    lo, hi, owner, lo_free, hi_free = batch.pieces(K)
+    # piece by piece: the free lower end, the midpoint and the free upper end
+    x = np.array((lo, 0.5 * (lo + hi), hi)).T
+    row = np.array((lo_free, np.ones_like(lo_free), hi_free)).T
+    at = owner.searchsorted(np.arange(len(ops) + 1))
+    # a node end counts as sloping into its piece
+    g, f = np.tile([np.inf, 0.0, -np.inf], (len(lo), 1)), np.full(x.shape, np.nan)
     # a midpoint can meet a node only on a piece a few ulps wide; its nan bound keeps it
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        g[rows], f[rows] = batch.track(np.concatenate((free, mid))[rows], row_owner, False)
-        best = np.fmax.reduceat(f[rows], row_owner.searchsorted(np.arange(len(ops))))
-        # slopes at the piece ends; a node end counts as pointing inward
-        g_end = np.concatenate((np.full(len(lo), np.inf), np.full(len(lo), -np.inf)))
-        g_end[slot] = g[:len(free)]
-        g, f = g[len(free):], f[len(free):]
-        inner = (g_end[:len(lo)] > 0.0) & (g_end[len(lo):] < 0.0)
-        bound = f + np.maximum(g * (hi - mid), g * (lo - mid))
-        keep = inner & ~(bound < best[owner] - 1e-8 * (1.0 + np.abs(g) * (hi - lo)))
-    found = newton_max(lambda x, o: batch.track(x, o, True), lo[keep], hi[keep], owner[keep])
+        g[row], f[row] = batch.track(x[row], owner.repeat(3)[row.ravel()], False)
+        best = np.fmax.reduceat(f.ravel(), 3 * at[:-1])
+        w, mid = hi - lo, x[:, 1]
+        dp = g[:, 1] * w
+        bound = concave_bound(f[:, 1], dp, 0.0, (lo - mid) / w, (hi - mid) / w)
+        row[:, 1] = ((g[:, 0] > 0.0) & (g[:, 2] < 0.0)
+                     & ~(bound < best[owner] - 1e-8 * (1.0 + np.abs(dp))))
+    keep = row[:, 1]
+    x[keep, 1] = newton_max(lambda t, o: batch.track(t, o, True), lo[keep], hi[keep], owner[keep])
+    x *= q
     # each operator's candidates: its free ends and its searched maxima
-    at_free = free_owner.searchsorted(np.arange(len(ops) + 1))
-    at_found = owner[keep].searchsorted(np.arange(len(ops) + 1))
     reports = [None] * len(ops)
     for k, (j, op) in enumerate(zip(order, batch.ops)):
-        xs = np.concatenate((free[at_free[k]:at_free[k + 1]], found[at_found[k]:at_found[k + 1]]))
+        xs = x[at[k]:at[k + 1]][row[at[k]:at[k + 1]]]
         vals = op.lebesgue_function(xs)
         i = np.lexsort((xs, -vals))[0]
         reports[j] = LebesgueReport(n=op.n, lambda_n=float(vals[i]), argmax_x=float(xs[i]))

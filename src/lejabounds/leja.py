@@ -29,6 +29,7 @@ from itertools import accumulate
 
 import numpy as np
 
+from ._search import concave_bound
 from .bounds import _check_args
 from .compact_set import (CompactSet, ValidationError, _check_int, _check_points, _check_tau,
                           _floats)
@@ -124,9 +125,8 @@ def _value(x, w, pts_arr) -> tuple[np.ndarray, np.ndarray]:
 
 # rows of the piece table: the ends lo < hi, flags (1.0) for ends that are
 # chosen points, the width w; the candidate c, (lo - c)/w and (hi - c)/w;
-# kappa / 2 and 1 / kappa for the piece's curvature floor mu = kappa / w^2;
-# P(c) and w P'(c)
-_LO, _HI, _LO_PT, _HI_PT, _W, _C, _L, _R, _HALF_KAPPA, _INV_KAPPA, _P, _DP = range(12)
+# kappa / 2 for the piece's curvature floor mu = kappa / w^2; P(c) and w P'(c)
+_LO, _HI, _LO_PT, _HI_PT, _W, _C, _L, _R, _HALF_KAPPA, _P, _DP = range(11)
 _INWARD = np.array([[1.0], [-1.0]])     # the inward direction of a draw's interval ends
 
 
@@ -138,14 +138,14 @@ class _Pieces:
     with mu = 8/w^2 when both ends are chosen points (the two nearest
     poles), 1/w^2 when one is, and 0 when neither is. So on the piece P is
     at most U = max over t in [lo - c, hi - c] of P(c) + P'(c) t - mu t^2 / 2,
-    which the table keeps in units of w. `step_max` refines the piece of
-    the largest U until that piece is a refined one, whose value is then
-    the maximum of P over K; every other piece lies below it by its U.
+    which the table keeps in units of w (`concave_bound`). `step_max`
+    refines the piece of the largest U until that piece is refined: its
+    value is the maximum of P over K, and every other lies below by its U.
     """
 
     def __init__(self, K: CompactSet, n: int, x0: float):
         m = K.n_components
-        self.t = np.zeros((12, m + n))      # a point adds at most one piece
+        self.t = np.zeros((11, m + n))      # a point adds at most one piece
         self.m = m
         self.t[_LO:_HI + 1, :m] = np.transpose(K.intervals)
         self._reset(0, m, np.empty(0))
@@ -159,8 +159,7 @@ class _Pieces:
             w = hi - lo
             c = lo + w / 2
             kappa = (0.0, 1.0, 8.0)[int(lo_pt + hi_pt)]
-            t[_W:_INV_KAPPA + 1, q] = (w, c, (lo - c) / w, (hi - c) / w, kappa / 2,
-                                       1.0 / kappa if kappa else math.inf)
+            t[_W:_HALF_KAPPA + 1, q] = w, c, (lo - c) / w, (hi - c) / w, kappa / 2
         cols = slice(j, j + count)
         t[_P, cols], t[_DP, cols] = _value(t[_C, cols], t[_W, cols], pts_arr)
 
@@ -216,10 +215,8 @@ class _Pieces:
     def step_max(self, pts_arr) -> tuple[float, float]:
         """The maximum (x, P(x)) of P over K, by refining pieces in order of
         their bound U; a tie goes to the piece of smaller abscissa."""
-        *_, c, left, right, half_kappa, inv_kappa, p, dp = self.t[:, :self.m]
-        # the t / w of U: an end when mu = 0, or c when also P'(c) = 0
-        s = np.fmin(np.fmax(dp * inv_kappa, left), right)
-        bound = p + s * (dp - half_kappa * s)
+        *_, c, left, right, half_kappa, p, dp = self.t[:, :self.m]
+        bound = concave_bound(p, dp, half_kappa, left, right)
         refined = set()
         while (i := int(np.argmax(bound))) not in refined:
             self._refine(i, pts_arr)
@@ -237,7 +234,7 @@ class _Pieces:
         P being concave, stays outside the set; a wrong slope leaves none);
         a rejected draw cuts its interval at x on the side P'(x) points away
         from. The proposal always holds the set, so x is uniform on it."""
-        lo, hi, _, _, w, c, _, _, half_kappa, _, p, dp = self.t[:, :self.m][:, self.bound >= level]
+        lo, hi, _, _, w, c, _, _, half_kappa, p, dp = self.t[:, :self.m][:, self.bound >= level]
         # the roots of -half_kappa s^2 + dp s + gap, s = (x - c) / w, digits kept; one is
         # infinite when kappa = 0, and a nan one (dp = 0, kappa or gap 0) keeps the piece end
         gap = p - level
@@ -271,7 +268,7 @@ def _greedy(K: CompactSet, x0: float, n: int, choose) -> tuple[list, list]:
     pts_arr, x_star, P*) gives the next point and its log product P.
     Returns the points and the ratios exp(min(P - P*, 0)). One errstate
     covers the loop, choose included: log 0 = -inf and 1/0 at chosen points,
-    0 * inf and 0 / 0 where mu or P'(c) is 0, and distances past the float
+    x / 0 and 0 / 0 where mu or P'(c) is 0, and distances past the float
     range on a set that wide, whose step maximum is then not finite and raises."""
     pts, ratios = np.full(n, float(x0)), []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

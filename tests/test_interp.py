@@ -270,7 +270,7 @@ def test_barycentric_matches_log_space_reference(K):
 def _track(op, x, second=True):
     """(log Lambda)' at the points x, off the nodes, and then (log Lambda)''
     if second, else log Lambda: the scan's track of op alone."""
-    return _Batch([op]).track(x, np.zeros(len(x), dtype=int), second)
+    return _Batch([op], 1.0).track(x, np.zeros(len(x), dtype=int), second)
 
 
 def _exact_log_slope(nodes, x):
@@ -530,10 +530,41 @@ def test_pruned_scan_is_unpruned_on_random_nodes(name, n, seed):
     rng = np.random.default_rng(seed)
     pick = comps[rng.integers(len(comps), size=n)]
     nodes = pick[:, 0] + (pick[:, 1] - pick[:, 0]) * rng.random(n)
-    assume(len(np.unique(nodes)) == n)
-    op = InterpolationOperator(nodes)
+    # a quarter of the nodes on a component end, a quarter off K: in a gap
+    # or beyond an end of the hull, up to 1 away
+    off = np.concatenate(([K.lo - 1.0], comps.ravel(), [K.hi + 1.0])).reshape(-1, 2)
+    off = off[rng.integers(len(off), size=n)]
+    place = rng.choice(3, size=n, p=[0.5, 0.25, 0.25])
+    nodes = np.select([place == 1, place == 2],
+                      [pick[np.arange(n), rng.integers(2, size=n)],
+                       off[:, 0] + (off[:, 1] - off[:, 0]) * rng.random(n)], nodes)
+    # the first of each repeated node
+    op = InterpolationOperator(nodes[np.sort(np.unique(nodes, return_index=True)[1])])
     rep = op.lebesgue_constant(K)
     assert (rep.lambda_n, rep.argmax_x) == _unpruned_scan(op, K)
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_interval_sequence(tau):
+    K = make_union([(0.0, 1.0)])
+    return leja_sequence(K, 400) if tau == 1.0 else quasi_leja_sequence(K, 400, tau, rng_seed=0)
+
+
+@pytest.mark.parametrize("tau", [1.0, 0.9])
+@pytest.mark.parametrize("e", [-1000, -700, -500, 500, 1000])
+def test_scan_runs_at_every_scale(tau, e):
+    # nodes and K of [0, 1] times 2^e: lambda_n is the unit-scale one, up to
+    # the product form's rounding at |log x| near 700, and no dense sample
+    # of the same operator lies more than 1e-12 above it
+    seq = _unit_interval_sequence(tau)
+    unit_K, K = make_union([(0.0, 1.0)]), make_union([(0.0, np.ldexp(1.0, e))])
+    for n in (5, 30, 400):
+        unit = InterpolationOperator.from_sequence(seq, n).lebesgue_constant(unit_K)
+        op = InterpolationOperator(np.ldexp(seq.points[:n], e))
+        rep = op.lebesgue_constant(K)
+        assert rep.lambda_n == pytest.approx(unit.lambda_n, rel=1e-9, abs=0)
+        assert rep.lambda_n >= (1.0 - 1e-12) * _dense_piece_max(op, K, per_piece=50)
+        assert K.contains(rep.argmax_x)
 
 
 @pytest.mark.parametrize("kind", ["leja", "quasi", "equispaced", "clustered"])

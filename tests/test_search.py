@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from lejabounds._search import newton_max, zoom_max
+from lejabounds._search import concave_bound, newton_max, zoom_max
 
 
 def best(*args):
@@ -162,3 +163,53 @@ def test_newton_passes_the_owners_of_the_running_brackets():
     # each bracket alone takes the same iterates
     for k in range(3):
         assert newton_max(slope, lo[k], hi[k], np.array([k]))[0] == x[k]
+
+
+def _bound(*args):
+    """concave_bound on float arrays, with numpy's warnings ignored as its callers do."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return concave_bound(*map(np.asarray, args))
+
+
+@pytest.mark.parametrize("mu", [0.0, 3.0])
+def test_concave_bound_is_the_parabola_maximum_and_bounds_the_function(mu):
+    # f(x) = b x - mu x^2 / 2 + sum_j log|x - z_j| with poles z_j off the
+    # piece [lo, hi], so f'' <= -mu there; c is a random point of the piece
+    rng = np.random.default_rng(7)
+    count = 300
+    lo = rng.uniform(-2.0, 2.0, count)
+    hi = lo + rng.uniform(1e-3, 3.0, count)
+    z = np.concatenate((lo[:, None] - rng.exponential(size=(count, 3)),
+                        hi[:, None] + rng.exponential(size=(count, 3))), axis=1)
+    b = rng.normal(scale=5.0, size=(count, 1))
+
+    def f(x):
+        return b * x - mu * x * x / 2 + np.log(np.abs(x[..., None] - z[:, None, :])).sum(axis=-1)
+
+    c, w = lo + (hi - lo) * rng.random(count), hi - lo
+    p = f(c[:, None])[:, 0]
+    dp = w * (b[:, 0] - mu * c + (1.0 / (c[:, None] - z)).sum(axis=1))
+    half_kappa, left, right = mu * w * w / 2, (lo - c) / w, (hi - c) / w
+    U = _bound(p, dp, half_kappa, left, right)
+    x = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, 2001)
+    assert np.all(U >= f(x).max(axis=1) - 1e-12 * (1.0 + np.abs(U)))
+    # the parabola's maximum: at an end, or at its vertex when that is inside
+    for k in range(count):
+        s = [left[k], right[k]]
+        if half_kappa[k] > 0.0:
+            s.append(min(max(dp[k] / (2.0 * half_kappa[k]), left[k]), right[k]))
+        top = max(p[k] + dp[k] * t - half_kappa[k] * t * t for t in s)
+        assert U[k] == pytest.approx(top, rel=1e-12, abs=1e-12)
+
+
+def test_concave_bound_nan_slope_and_flat_tangent():
+    # a nan slope gives a nan bound, which no prune test (bound < best) drops
+    for half_kappa in (0.0, 0.5, 4.0):
+        assert np.isnan(_bound(1.0, np.nan, half_kappa, -0.5, 0.5))
+        assert not _bound(1.0, np.nan, half_kappa, -0.5, 0.5) < 0.0
+    # slope 0: the value at c, with no curvature floor and with one
+    for half_kappa in (0.0, 4.0):
+        assert _bound(1.5, 0.0, half_kappa, -0.25, 0.75) == 1.5
+    # no floor: the tangent's value at the end it rises to
+    assert _bound(1.0, 2.0, 0.0, -0.25, 0.75) == 2.5
+    assert _bound(1.0, -2.0, 0.0, -0.25, 0.75) == 1.5
