@@ -158,11 +158,9 @@ class _Batch:
     each at points it owns, in units of q: a power of two, so exactly."""
 
     def __init__(self, ops, q):
-        self.ops, self.q = ops, q
-        self.op_nodes = [op.nodes / q for op in ops]
-        self.size = np.array([op.n for op in ops])
+        self.ops, self.size = ops, np.array([op.n for op in ops])
         self.start = np.cumsum(self.size) - self.size
-        self.nodes = np.concatenate(self.op_nodes)
+        self.nodes = np.concatenate([op.nodes for op in ops]) / q
         self.w = np.concatenate([op._w for op in ops])
         self.log_w_max = np.array([op._log_w.max() for op in ops]) + (self.size - 1) * np.log(q)
 
@@ -180,11 +178,11 @@ class _Batch:
         (log|B|)' = sum u_k and (log|B|)'' = sum u_k^2. In the same terms
         log Lambda = log(sum_k |w~_k u_k|) + max_k log|w_k| - sum_k log|u_k|,
         with w~ the weights scaled by their largest modulus (in units of q,
-        w_k gains a factor q^(n - 1)). With q near diam K, u^3 neither over-
-        nor underflows. The rows run in blocks of _BLOCK_ENTRIES // (2 * n)
-        points, n the largest node count of the batch, each padded to its
-        last row's node count, so a block's two tables, u and c, hold at
-        most _BLOCK_ENTRIES entries together.
+        w_k gains a factor q^(n - 1)). With q near diam K, u^3 overflows only
+        within about 1e-102 q of a node. The rows run in blocks of
+        _BLOCK_ENTRIES // (2 * n) points, n the largest node count of the
+        batch, each padded to its last row's node count, so a block's two
+        tables, u and c, hold at most _BLOCK_ENTRIES entries together.
         """
         rows = max(1, _BLOCK_ENTRIES // (2 * self.size[-1]))
         g, h = np.empty(len(x)), np.empty(len(x))
@@ -208,7 +206,7 @@ class _Batch:
         process, 2 vCPUs, numpy 2.4.6)."""
         o0, o1 = owner[0], owner[-1] + 1
         if o1 - o0 == 1:
-            u = self.op_nodes[o0] - x[:, None]
+            u = self.nodes[self.start[o0]:self.start[o0] + self.size[o0]] - x[:, None]
             np.divide(1.0, u, out=u)
             c = self.ops[o0]._w * u
             live = True
@@ -236,18 +234,18 @@ class _Batch:
                    - np.log(np.abs(u, out=u), out=u, where=live).sum(axis=1))
 
     def pieces(self, K: CompactSet):
-        """Every component of K cut at each operator's nodes in it: the
-        pieces (lo, hi), operator by operator and component by component in
-        increasing order, their owners, and whether each end is free (a
-        component end that is not a node of the owner)."""
-        a, b = np.array(K.intervals).T / self.q
-        m, C = len(self.ops), len(a)
-        comp = a.searchsorted(self.nodes, side="right") - 1
-        on = (comp >= 0) & (self.nodes <= b[comp])
+        """Every component of K cut at each operator's nodes in it, in the
+        units of K: the pieces (lo, hi), operator by operator and component
+        by component in increasing order, their owners, and whether each end
+        is free (a component end that is not a node of the owner)."""
+        a, b = np.array(K.intervals).T
+        nodes, m, C = np.concatenate([op.nodes for op in self.ops]), len(self.ops), len(a)
+        comp = a.searchsorted(nodes, side="right") - 1
+        on = (comp >= 0) & (nodes <= b[comp])
         group = np.repeat(np.arange(m), self.size)[on] * C + comp[on]
         # group g = (operator, component) runs from its lower to its upper end. The sort is
         # stable, so a node on an end sorts inside it; the piece of width 0 between goes
-        cuts = np.concatenate((np.tile(a, m), self.nodes[on], np.tile(b, m)))
+        cuts = np.concatenate((np.tile(a, m), nodes[on], np.tile(b, m)))
         of = np.concatenate((np.arange(m * C), group, np.arange(m * C)))
         i = np.lexsort((cuts, of))
         cuts, of = cuts[i], of[i]
@@ -282,56 +280,58 @@ def lebesgue_constants(operators, K: CompactSet) -> list[LebesgueReport]:
     log Lambda <= U = f(m) + max(g(m) (hi - m), g(m) (lo - m)) with
     f = log Lambda and g = f' (`concave_bound` with no curvature floor).
 
-    The scan works in units of q, the least power of two above diam K, so
-    it runs at any scale, and its iterates scale with K exactly. One pass
-    runs piece by piece over a (pieces x 3) table, the free lower end (a
-    component end that is not a node), the midpoint and the free upper
-    end, so its rows come in owner order: it takes f and g there in the
-    row blocks of `_Batch.track`, and best is the largest f of an
-    operator's rows. A piece peaks at a free end where g points out of it,
-    and otherwise (an inner piece) at its one interior critical point;
-    node ends never are candidates, since Lambda = 1 there. Only the inner
-    pieces with U >= best - 1e-8 (1 + |g(m)| (hi - lo)), best that of the
-    piece's own operator, go to `newton_max` on (log Lambda)', and a piece
-    whose U is nan stays in. The margin covers the rounding of f, of the
-    tangent term and of the Lebesgue function, a few n eps times the
-    largest |log|x - x_k||. So a piece left out peaks below best, while
+    The pass and the search run in t = x / q, q the least power of two above
+    diam K (at most 2^1023), so at any scale; a maximum t comes back as q t,
+    clipped to its piece, and where t is normal every iterate is the one in
+    the units of K over q. One pass runs piece by piece over a (pieces x 3)
+    table, the free lower end (a component end that is not a node), the
+    midpoint and the free upper end, so its rows come in owner order: it
+    takes f and g there in the row blocks of `_Batch.track`, and best is the
+    largest f of an operator's rows. A piece peaks at a free end where g
+    points out of it, and otherwise (an inner piece) at its one interior
+    critical point; node ends never are candidates, since Lambda = 1 there.
+    Only the inner pieces with U >= best - 1e-8 (1 + |g(m)| (hi - lo)), best
+    that of the piece's own operator, go to `newton_max` on (log Lambda)',
+    and a piece whose U is nan stays in. The margin covers the rounding of
+    f, of the tangent term and of the Lebesgue function, a few n eps times
+    the largest |log|x - x_k||. So a piece left out peaks below best, while
     the scan finds at least best on best's own piece (at a free end, or on
     an inner piece, which U >= f(m) keeps): the piece can neither win nor
     tie. `newton_max` runs each bracket on its own, so the kept pieces take
     the same iterates as when every inner piece is searched. An operator's
     lambda_n is the largest value of its own Lebesgue function at its free
     ends and searched maxima, so lebesgue_function(argmax_x) == lambda_n;
-    ties go to the smaller abscissa. A block of one operator is not
-    padded, so an operator scanned alone does not depend on the padding;
-    scanned with others, its padded sums round differently, and lambda_n
-    may move by about n eps relative.
+    ties go to the smaller abscissa. A block of one operator is not padded,
+    so an operator scanned alone does not depend on the padding; scanned
+    with others, its padded sums round differently, and lambda_n may move by
+    about n eps relative.
     """
     ops = list(operators)
     if not ops:
         return []
     order = sorted(range(len(ops)), key=lambda i: ops[i].n)
-    q = np.ldexp(1.0, np.frexp(K.diam)[1])
+    q = np.ldexp(1.0, min(np.frexp(K.diam)[1], 1023))
     batch = _Batch([ops[i] for i in order], q)
     lo, hi, owner, lo_free, hi_free = batch.pieces(K)
     # piece by piece: the free lower end, the midpoint and the free upper end
-    x = np.array((lo, 0.5 * (lo + hi), hi)).T
+    t = np.array((lo, 0.5 * lo + 0.5 * hi, hi)).T / q
     row = np.array((lo_free, np.ones_like(lo_free), hi_free)).T
     at = owner.searchsorted(np.arange(len(ops) + 1))
     # a node end counts as sloping into its piece
-    g, f = np.tile([np.inf, 0.0, -np.inf], (len(lo), 1)), np.full(x.shape, np.nan)
+    g, f = np.tile([np.inf, 0.0, -np.inf], (len(lo), 1)), np.full(t.shape, np.nan)
     # a midpoint can meet a node only on a piece a few ulps wide; its nan bound keeps it
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        g[row], f[row] = batch.track(x[row], owner.repeat(3)[row.ravel()], False)
+        g[row], f[row] = batch.track(t[row], owner.repeat(3)[row.ravel()], False)
         best = np.fmax.reduceat(f.ravel(), 3 * at[:-1])
-        w, mid = hi - lo, x[:, 1]
+        w, mid = t[:, 2] - t[:, 0], t[:, 1]
         dp = g[:, 1] * w
-        bound = concave_bound(f[:, 1], dp, 0.0, (lo - mid) / w, (hi - mid) / w)
+        bound = concave_bound(f[:, 1], dp, 0.0, (t[:, 0] - mid) / w, (t[:, 2] - mid) / w)
         row[:, 1] = ((g[:, 0] > 0.0) & (g[:, 2] < 0.0)
                      & ~(bound < best[owner] - 1e-8 * (1.0 + np.abs(dp))))
     keep = row[:, 1]
-    x[keep, 1] = newton_max(lambda t, o: batch.track(t, o, True), lo[keep], hi[keep], owner[keep])
-    x *= q
+    t[keep, 1] = newton_max(lambda s, o: batch.track(s, o, True),
+                            t[keep, 0], t[keep, 2], owner[keep])
+    x = np.array((lo, np.clip(q * t[:, 1], lo, hi), hi)).T
     # each operator's candidates: its free ends and its searched maxima
     reports = [None] * len(ops)
     for k, (j, op) in enumerate(zip(order, batch.ops)):

@@ -551,7 +551,7 @@ def _unit_interval_sequence(tau):
 
 
 @pytest.mark.parametrize("tau", [1.0, 0.9])
-@pytest.mark.parametrize("e", [-1000, -700, -500, 500, 1000])
+@pytest.mark.parametrize("e", [-1000, -700, -500, 500, 1000, 1023])
 def test_scan_runs_at_every_scale(tau, e):
     # nodes and K of [0, 1] times 2^e: lambda_n is the unit-scale one, up to
     # the product form's rounding at |log x| near 700, and no dense sample
@@ -565,6 +565,17 @@ def test_scan_runs_at_every_scale(tau, e):
         assert rep.lambda_n == pytest.approx(unit.lambda_n, rel=1e-9, abs=0)
         assert rep.lambda_n >= (1.0 - 1e-12) * _dense_piece_max(op, K, per_piece=50)
         assert K.contains(rep.argmax_x)
+
+
+@pytest.mark.parametrize("pairs", [[(1e-20, 1.0), (2.0, 1e300)], [(0.0, 1e-310), (1.0, 1e300)]])
+def test_scan_keeps_the_free_ends_of_a_wide_set(pairs):
+    # a component end far below diam K is a candidate as it is, and a
+    # component far narrower than diam K keeps its ends: with one node
+    # Lambda = 1 on K, so the scan reports the smallest free end, K.lo
+    K = make_union(pairs)
+    for node in (K.hi, 1e200):
+        rep = InterpolationOperator([node]).lebesgue_constant(K)
+        assert (rep.lambda_n, rep.argmax_x) == (1.0, K.lo)
 
 
 @pytest.mark.parametrize("kind", ["leja", "quasi", "equispaced", "clustered"])
